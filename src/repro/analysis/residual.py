@@ -92,8 +92,9 @@ def probability_local_outlives(local_run_time: float,
         density = 2.0 * (t_c - x) / (t_c * t_c)
         threshold = x + auth_delay
         if threshold >= local_run_time:
-            p_outlive = 0.0
-        else:
-            p_outlive = 1.0 - threshold / local_run_time
+            # The threshold grows with x, so this term and every later
+            # one is exactly +0.0 (finite inputs): the sum is final.
+            break
+        p_outlive = 1.0 - threshold / local_run_time
         total += density * p_outlive * step
     return min(max(total, 0.0), 1.0)

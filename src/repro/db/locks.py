@@ -18,6 +18,14 @@ authentication phase: grant a lock to a central/shipped transaction even
 if local transactions hold it incompatibly, marking those local holders
 for abort (their locks transfer to the authenticating transaction).
 
+Every query and bulk operation is O(work done), not O(table size): the
+manager keeps a per-transaction index of granted and queued locks plus
+running grant and queue counters.  Bulk releases walk the index in the
+order the lock records were created (each :class:`Lock` carries a
+creation stamp), which is the lock table's insertion order -- so waiters
+are granted, and their events scheduled, in exactly the order a full
+table walk would produce.
+
 Deadlock handling: every blocked request adds waits-for edges; a cycle
 aborts the *requesting* transaction (the paper: "in the case of a
 contention that leads into a deadlock the transaction is aborted and all
@@ -28,8 +36,9 @@ locks held are released").  The acquire event then fails with
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..sim.engine import Environment, Event
@@ -81,7 +90,7 @@ class DeadlockError(Exception):
         self.entity = entity
 
 
-@dataclass
+@dataclass(slots=True)
 class LockRequest:
     """A queued (not yet granted) request on one entity."""
 
@@ -91,7 +100,7 @@ class LockRequest:
     enqueued_at: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Lock:
     """State of one lockable entity.
 
@@ -102,9 +111,13 @@ class Lock:
     """
 
     entity: int
-    holders: "OrderedDict[int, LockMode]" = field(default_factory=OrderedDict)
+    holders: dict[int, LockMode] = field(default_factory=dict)
     waiters: deque[LockRequest] = field(default_factory=deque)
     coherence_count: int = 0
+    #: Creation stamp assigned by the owning manager.  A collected and
+    #: re-created record gets a fresh, larger stamp, so sorting by stamp
+    #: reproduces the lock table's insertion order.
+    stamp: int = 0
 
     def is_free(self) -> bool:
         return not self.holders and not self.waiters and \
@@ -124,6 +137,9 @@ class Lock:
         return True
 
 
+_STAMP = attrgetter("stamp")
+
+
 class LockManager:
     """Per-site lock table implementing the dual-field protocol.
 
@@ -131,6 +147,11 @@ class LockManager:
     Locks are created lazily and discarded when fully free, so the 32K
     lock space of the paper's simulation costs memory only for active
     entities.
+
+    Ordering contract: every operation that touches several locks of
+    one transaction (:meth:`release_all`, :meth:`cancel_waits`,
+    :meth:`entities_locked_by`) visits them in lock-table insertion
+    order, i.e. by :attr:`Lock.stamp`.
     """
 
     def __init__(self, env: Environment, name: str = "locks",
@@ -138,6 +159,13 @@ class LockManager:
         self.env = env
         self.name = name
         self._locks: dict[int, Lock] = {}
+        self._last_stamp = 0
+        # Per-transaction index: txn -> {entity: lock} of granted locks,
+        # and txn -> {entity: queued request count}.
+        self._held: dict[int, dict[int, Lock]] = {}
+        self._queued: dict[int, dict[int, int]] = {}
+        self._grant_count = 0  # (entity, holder) pairs
+        self._queue_count = 0  # queued requests
         self._waits_for = WaitsForGraph()
         self._on_deadlock = on_deadlock
         # Counters surfaced to the dynamic routing strategies and metrics.
@@ -166,14 +194,61 @@ class LockManager:
 
     def total_locks_held(self) -> int:
         """Number of (entity, holder) grants -- the ``n_lock`` statistic."""
-        return sum(len(lock.holders) for lock in self._locks.values())
+        return self._grant_count
 
     def waiting_requests(self) -> int:
-        return sum(len(lock.waiters) for lock in self._locks.values())
+        return self._queue_count
 
     def entities_locked_by(self, txn_id: int) -> list[int]:
-        return [entity for entity, lock in self._locks.items()
-                if txn_id in lock.holders]
+        """Entities ``txn_id`` holds, in lock-table insertion order."""
+        held = self._held.get(txn_id)
+        if not held:
+            return []
+        return [lock.entity for lock in sorted(held.values(), key=_STAMP)]
+
+    def holding_transactions(self) -> list[int]:
+        """Ids of the transactions holding at least one lock, ascending."""
+        return sorted(self._held)
+
+    # -- index maintenance ----------------------------------------------------
+
+    def _lock(self, entity: int) -> Lock:
+        """The record for ``entity``, created (and stamped) if absent."""
+        lock = self._locks.get(entity)
+        if lock is None:
+            self._last_stamp += 1
+            lock = self._locks[entity] = Lock(entity, stamp=self._last_stamp)
+        return lock
+
+    def _grant(self, lock: Lock, txn_id: int, mode: LockMode) -> None:
+        """Make ``txn_id`` a holder in ``mode`` (or change its mode)."""
+        if txn_id not in lock.holders:
+            held = self._held.get(txn_id)
+            if held is None:
+                held = self._held[txn_id] = {}
+            held[lock.entity] = lock
+            self._grant_count += 1
+        lock.holders[txn_id] = mode
+
+    def _ungrant(self, lock: Lock, txn_id: int) -> None:
+        del lock.holders[txn_id]
+        held = self._held[txn_id]
+        del held[lock.entity]
+        if not held:
+            del self._held[txn_id]
+        self._grant_count -= 1
+
+    def _dequeued(self, txn_id: int, entity: int, count: int = 1) -> None:
+        """``count`` queued requests of ``txn_id`` left ``entity``'s queue."""
+        queued = self._queued[txn_id]
+        left = queued[entity] - count
+        if left:
+            queued[entity] = left
+        else:
+            del queued[entity]
+            if not queued:
+                del self._queued[txn_id]
+        self._queue_count -= count
 
     # -- concurrency control --------------------------------------------------
 
@@ -186,8 +261,8 @@ class LockManager:
         same or weaker mode succeeds immediately; a S->X upgrade succeeds
         if the requester is the sole holder and queues otherwise.
         """
-        event = Event(self.env)
-        lock = self._locks.setdefault(entity, Lock(entity))
+        event = self.env.event()
+        lock = self._lock(entity)
 
         held = lock.holders.get(txn_id)
         if held is not None:
@@ -203,7 +278,7 @@ class LockManager:
             return self._block(lock, txn_id, mode, event)
 
         if not lock.waiters and lock.grant_compatible(mode, txn_id=txn_id):
-            lock.holders[txn_id] = mode
+            self._grant(lock, txn_id, mode)
             self.locks_granted += 1
             event.succeed()
             return event
@@ -229,6 +304,11 @@ class LockManager:
         self.lock_waits += 1
         lock.waiters.append(LockRequest(txn_id, mode, event,
                                         enqueued_at=self.env.now))
+        queued = self._queued.get(txn_id)
+        if queued is None:
+            queued = self._queued[txn_id] = {}
+        queued[lock.entity] = queued.get(lock.entity, 0) + 1
+        self._queue_count += 1
         return event
 
     def release(self, txn_id: int, entity: int) -> None:
@@ -237,18 +317,24 @@ class LockManager:
         if lock is None or txn_id not in lock.holders:
             raise LockError(
                 f"{self.name}: txn {txn_id} does not hold entity {entity}")
-        del lock.holders[txn_id]
+        self._ungrant(lock, txn_id)
         self._grant_waiters(lock)
         self._collect(lock)
 
     def release_all(self, txn_id: int) -> list[int]:
-        """Release every lock held by ``txn_id``; returns released entities."""
+        """Release every lock held by ``txn_id``; returns released entities.
+
+        Locks are released -- and their waiters granted -- in lock-table
+        insertion order.  Only the locks of the snapshot taken on entry
+        are released: a queued upgrade of ``txn_id`` granted along the
+        way stays granted.
+        """
         released = []
-        for entity in list(self._locks):
-            lock = self._locks[entity]
-            if txn_id in lock.holders:
-                del lock.holders[txn_id]
-                released.append(entity)
+        held = self._held.get(txn_id)
+        if held:
+            for lock in sorted(held.values(), key=_STAMP):
+                self._ungrant(lock, txn_id)
+                released.append(lock.entity)
                 self._grant_waiters(lock)
                 self._collect(lock)
         self.cancel_waits(txn_id)
@@ -261,13 +347,15 @@ class LockManager:
         events are abandoned, so they are removed from the queues and the
         waits-for graph.
         """
-        for entity in list(self._locks):
-            lock = self._locks[entity]
-            pending = [request for request in lock.waiters
-                       if request.txn_id == txn_id]
-            for request in pending:
-                lock.waiters.remove(request)
-            if pending:
+        queued = self._queued.pop(txn_id, None)
+        if queued:
+            self._queue_count -= sum(queued.values())
+            locks = self._locks
+            for lock in sorted((locks[entity] for entity in queued),
+                               key=_STAMP):
+                for request in [request for request in lock.waiters
+                                if request.txn_id == txn_id]:
+                    lock.waiters.remove(request)
                 self._grant_waiters(lock)
                 self._collect(lock)
         self._waits_for.remove(txn_id)
@@ -280,7 +368,8 @@ class LockManager:
                                          txn_id=request.txn_id):
                 break
             lock.waiters.popleft()
-            lock.holders[request.txn_id] = request.mode
+            self._dequeued(request.txn_id, lock.entity)
+            self._grant(lock, request.txn_id, request.mode)
             self.locks_granted += 1
             # Granted: it waits for nobody now, but waiters queued
             # behind it still wait for it -- keep their incoming edges.
@@ -296,7 +385,7 @@ class LockManager:
 
     def increment_coherence(self, entity: int) -> None:
         """A committed local update to ``entity`` is now in flight."""
-        lock = self._locks.setdefault(entity, Lock(entity))
+        lock = self._lock(entity)
         lock.coherence_count += 1
 
     def decrement_coherence(self, entity: int) -> None:
@@ -329,7 +418,7 @@ class LockManager:
         conflicting local transactions are released").  Compatible holders
         keep their locks and share with the grantee.
         """
-        lock = self._locks.setdefault(entity, Lock(entity))
+        lock = self._lock(entity)
         # If the grantee itself has a queued request on this entity it is
         # superseded by the grant.
         own_requests = [request for request in lock.waiters
@@ -337,15 +426,17 @@ class LockManager:
         for request in own_requests:
             lock.waiters.remove(request)
         if own_requests:
+            self._dequeued(txn_id, entity, len(own_requests))
             self._waits_for.clear_waits(txn_id)
         evicted = [holder for holder, held in lock.holders.items()
                    if holder != txn_id and not mode.compatible_with(held)]
         for holder in evicted:
-            del lock.holders[holder]
+            self._ungrant(lock, holder)
         held = lock.holders.get(txn_id)
         if held is None or (held is LockMode.SHARE and
                             mode is LockMode.EXCLUSIVE):
-            lock.holders[txn_id] = mode  # grant, or upgrade -- never downgrade
+            # Grant, or upgrade -- never downgrade.
+            self._grant(lock, txn_id, mode)
         self.forced_grants += 1
         # Evictions (or a share-mode grant) may unblock compatible FIFO
         # waiters; incompatible ones stay queued behind the grantee until

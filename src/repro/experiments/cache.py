@@ -59,7 +59,10 @@ __all__ = ["ResultCache", "default_cache_dir", "CACHE_VERSION"]
 #:    ``epoch_interval``) and SimulationResult gained ``protocol`` /
 #:    ``protocol_counters``; pre-bump keys were derived without the new
 #:    config fields and pre-bump pickles lack the result fields.
-CACHE_VERSION = 5
+#: 6: message delivery and retransmit timers no longer run as processes,
+#:    so a run dispatches fewer kernel events; cached results carry the
+#:    old ``engine_events`` counts.
+CACHE_VERSION = 6
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "HYBRIDDB_CACHE_DIR"

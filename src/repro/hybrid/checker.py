@@ -156,6 +156,10 @@ class InvariantChecker:
             self.stats.max_divergent_entities, len(divergence))
 
     def _audit_lock_table(self, manager, name: str) -> None:
+        # One cycle search per table (the graph does not change during
+        # the audit); a cycle is reported after the first entry's own
+        # checks, so that entry's violations take precedence.
+        cycle = bool(manager._locks) and manager._waits_for.has_cycle()
         for entity, lock in manager._locks.items():
             modes = list(lock.holders.values())
             if len(modes) > 1 and any(
@@ -168,7 +172,7 @@ class InvariantChecker:
                     f"{name}: negative coherence count on {entity}")
             self.stats.max_coherence_count = max(
                 self.stats.max_coherence_count, lock.coherence_count)
-            if manager._waits_for.has_cycle():
+            if cycle:
                 raise InvariantViolation(
                     f"{name}: waits-for cycle survived detection")
 

@@ -27,6 +27,13 @@ Two extensions support the fault-injection subsystem
   and receiver-side deduplication plus hold-back reassembly -- giving
   exactly-once, in-order delivery of application messages no matter how
   lossy the underlying links are.
+
+Deliveries and retransmission timers are scheduled callbacks, not
+processes.  Each has the calendar footprint of a one-shot process -- a
+zero-delay start event at send time whose dispatch creates the timeout
+-- so every ``(time, priority, seq)`` comparison between events comes
+out as it would for a process.  It lacks only the process's completion
+event, which nothing would wait on.
 """
 
 from __future__ import annotations
@@ -173,14 +180,17 @@ class Link:
                 delay += self._rng.uniform(0.0, self._jitter)
         message.sequence = self._next_seq
         self._next_seq += 1
-        self.env.process(self._deliver(message, on_delivery, delay),
-                         name=f"{self.name}:deliver")
+        start = self.env.event()
+        start.callbacks.append(
+            lambda _start: self._depart(message, on_delivery, delay))
+        start.succeed()
 
-    def _deliver(self, message: Message,
-                 on_delivery: Callable[[Message], None] | None,
-                 delay: float):
-        yield self.env.timeout(delay)
-        self._arrive(message, on_delivery)
+    def _depart(self, message: Message,
+                on_delivery: Callable[[Message], None] | None,
+                delay: float) -> None:
+        """Start the propagation delay (dispatch of the start event)."""
+        self.env.timeout(delay).callbacks.append(
+            lambda _timeout: self._arrive(message, on_delivery))
 
     def _arrive(self, message: Message,
                 on_delivery: Callable[[Message], None] | None) -> None:
@@ -288,30 +298,36 @@ class ReliableEndpoint:
         message.rel_inc = self.incarnation
         self._unacked[seq] = (message.kind, message.payload, message.source)
         self.out_link.send(message)
-        self.env.process(self._watch(seq, self.incarnation),
-                         name=f"{self.name}:retransmit-{seq}")
+        incarnation = self.incarnation
+        start = self.env.event()
+        start.callbacks.append(
+            lambda _start: self._arm(seq, incarnation, self.timeout))
+        start.succeed()
 
-    def _watch(self, seq: int, incarnation: int):
-        """Retransmission timer for one message (exponential backoff)."""
-        delay = self.timeout
-        while True:
-            yield self.env.timeout(delay)
-            if incarnation != self.incarnation:
-                return
-            entry = self._unacked.get(seq)
-            if entry is None:
-                return
-            kind, payload, source = entry
-            # A fresh Message each resend: the link stamps per-transmission
-            # state (sequence, sent_at) on the envelope, so reusing the
-            # original object would alias in-flight deliveries.
-            resend = Message(kind=kind, payload=payload, source=source,
-                             rel_seq=seq, rel_inc=incarnation)
-            self.retransmits += 1
-            if self.on_retransmit is not None:
-                self.on_retransmit(resend)
-            self.out_link.send(resend)
-            delay = min(delay * self.backoff, self.max_timeout)
+    def _arm(self, seq: int, incarnation: int, delay: float) -> None:
+        """Start one message's retransmission timer, ``delay`` long."""
+        self.env.timeout(delay).callbacks.append(
+            lambda _timeout: self._expire(seq, incarnation, delay))
+
+    def _expire(self, seq: int, incarnation: int, delay: float) -> None:
+        """Timer fired: resend if still unacknowledged, then back off."""
+        if incarnation != self.incarnation:
+            return
+        entry = self._unacked.get(seq)
+        if entry is None:
+            return
+        kind, payload, source = entry
+        # A fresh Message each resend: the link stamps per-transmission
+        # state (sequence, sent_at) on the envelope, so reusing the
+        # original object would alias in-flight deliveries.
+        resend = Message(kind=kind, payload=payload, source=source,
+                         rel_seq=seq, rel_inc=incarnation)
+        self.retransmits += 1
+        if self.on_retransmit is not None:
+            self.on_retransmit(resend)
+        self.out_link.send(resend)
+        self._arm(seq, incarnation,
+                  min(delay * self.backoff, self.max_timeout))
 
     @property
     def unacked(self) -> int:

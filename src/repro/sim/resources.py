@@ -43,6 +43,8 @@ class Request(Event):
         # released on exit
     """
 
+    __slots__ = ("resource", "priority", "_order", "_key")
+
     def __init__(self, resource: "Resource", priority: float = 0.0):
         super().__init__(resource.env)
         self.resource = resource
@@ -145,14 +147,24 @@ class Resource:
 
     def _enqueue_request(self, request: Request) -> None:
         self._account()
+        users = self.users
+        if not self.queue and len(users) < self.capacity:
+            # Uncontended: grant inline -- exactly what the queue round
+            # trip through _grant_waiters would do for a lone request.
+            users.append(request)
+            self.grants += 1
+            request.succeed()
+            return
         self.queue.append(request)
         self._grant_waiters()
 
     def _cancel(self, request: Request) -> None:
         self._account()
-        if request in self.users:
-            self.users.remove(request)
-            self._grant_waiters()
+        users = self.users
+        if request in users:
+            users.remove(request)
+            if self.queue:
+                self._grant_waiters()
         elif request in self.queue:
             self.queue.remove(request)
 

@@ -89,7 +89,15 @@ class SpanRecorder:
         if self.started_at is None:
             self.started_at = now
         else:
-            self._accumulate(now)
+            # Inlined :meth:`_accumulate`: enter runs at every phase
+            # transition of every transaction.
+            open_phase = self._phase
+            if open_phase is not None:
+                elapsed = now - self._since
+                if elapsed > 0.0:
+                    totals = self.totals
+                    totals[open_phase] = \
+                        totals.get(open_phase, 0.0) + elapsed
         self._phase = phase
         self._since = now
         self.transitions += 1

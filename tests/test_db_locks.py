@@ -132,6 +132,29 @@ def test_release_all_grants_waiters(env, lm):
     assert waiter.triggered
 
 
+def test_release_all_grants_in_lock_creation_order(env, lm):
+    # Lock 40 is created first (by txn 9) but joins txn 1's set last;
+    # txn 1 locks 5, 30, 10, 20 in that order, then drops and re-takes
+    # 5, whose record is collected and re-created as the newest lock.
+    lm.acquire(9, 40, LockMode.SHARE)
+    for entity in (5, 30, 10, 20):
+        lm.acquire(1, entity, LockMode.EXCLUSIVE)
+    lm.acquire(1, 40, LockMode.SHARE)
+    lm.release(9, 40)
+    lm.release(1, 5)
+    assert lm.lock_for(5) is None
+    lm.acquire(1, 5, LockMode.EXCLUSIVE)
+    granted = []
+    for waiter, entity in ((2, 5), (3, 10), (4, 20), (5, 30), (6, 40)):
+        event = lm.acquire(waiter, entity, LockMode.EXCLUSIVE)
+        event.callbacks.append(lambda _event, w=waiter: granted.append(w))
+    assert lm.entities_locked_by(1) == [40, 30, 10, 20, 5]
+    assert lm.release_all(1) == [40, 30, 10, 20, 5]
+    env.run()
+    assert granted == [6, 5, 3, 4, 2]
+    assert lm.holding_transactions() == [2, 3, 4, 5, 6]
+
+
 def test_cancel_waits_removes_queued_requests(env, lm):
     lm.acquire(1, 7, LockMode.EXCLUSIVE)
     lm.acquire(2, 7, LockMode.EXCLUSIVE)  # queued

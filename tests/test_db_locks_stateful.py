@@ -11,7 +11,10 @@ invariants after every step:
   exists;
 * the waits-for graph never contains a cycle (cycles are refused at
   acquire time);
-* coherence counts are never negative and pin their lock records.
+* coherence counts are never negative and pin their lock records;
+* the manager's per-transaction index and its grant/queue counters
+  equal a brute-force scan of the lock table, and every multi-lock
+  answer comes in lock-table insertion order.
 """
 
 from hypothesis import settings
@@ -53,7 +56,9 @@ class LockManagerMachine(RuleBasedStateMachine):
 
     @rule(txn=st.sampled_from(TXNS))
     def release_all(self, txn):
-        self.manager.release_all(txn)
+        expected = [entity for entity, lock in self.manager._locks.items()
+                    if txn in lock.holders]
+        assert self.manager.release_all(txn) == expected
         self.requested[txn].clear()
         self.env.run()
 
@@ -123,6 +128,36 @@ class LockManagerMachine(RuleBasedStateMachine):
     def coherence_counts_nonnegative(self):
         for lock in self.manager._locks.values():
             assert lock.coherence_count >= 0
+
+    @invariant()
+    def index_matches_table_scan(self):
+        manager = self.manager
+        locks = manager._locks
+        stamps = [lock.stamp for lock in locks.values()]
+        assert stamps == sorted(set(stamps)), \
+            f"stamps out of insertion order: {stamps}"
+        held: dict[int, dict[int, object]] = {}
+        queued: dict[int, dict[int, int]] = {}
+        for entity, lock in locks.items():
+            for txn in lock.holders:
+                held.setdefault(txn, {})[entity] = lock
+            for request in lock.waiters:
+                per_txn = queued.setdefault(request.txn_id, {})
+                per_txn[entity] = per_txn.get(entity, 0) + 1
+        assert {txn: {entity: id(lock) for entity, lock in index.items()}
+                for txn, index in manager._held.items()} == \
+            {txn: {entity: id(lock) for entity, lock in index.items()}
+             for txn, index in held.items()}
+        assert manager._queued == queued
+        assert manager.total_locks_held() == \
+            sum(len(lock.holders) for lock in locks.values())
+        assert manager.waiting_requests() == \
+            sum(len(lock.waiters) for lock in locks.values())
+        assert manager.holding_transactions() == sorted(held)
+        for txn in TXNS:
+            assert manager.entities_locked_by(txn) == \
+                [entity for entity, lock in locks.items()
+                 if txn in lock.holders]
 
     @invariant()
     def lock_records_not_leaked(self):

@@ -32,7 +32,14 @@ __all__ = ["SiteBase"]
 
 
 class SiteBase:
-    """Common CPU / lock-table behaviour of local and central sites."""
+    """Common CPU / lock-table behaviour of local and central sites.
+
+    Subclasses provide ``metrics`` (the system's collector) and name the
+    abort cause recorded when a committing transaction elsewhere
+    invalidates one of theirs.
+    """
+
+    invalidated_abort_reason: str
 
     def __init__(self, env: Environment, config: "SystemConfig",
                  mips: float, name: str):
@@ -99,6 +106,28 @@ class SiteBase:
         finally:
             txn.spans.exit(self.env.now)
         txn.locked_entities.append(reference.entity)
+
+    def _execute_calls(self, txn: "Transaction", first_run: bool):
+        """The ten database calls: lock, CPU burst, data I/O."""
+        config = self.config
+        for reference in txn.references:
+            if not self.locks.is_held_by(reference.entity, txn.txn_id):
+                # Raises DeadlockError on a cycle.
+                yield from self.lock_wait(txn, reference)
+            yield from self.cpu_burst(config.instr_per_db_call, txn)
+            if first_run:
+                yield from self.io_wait(config.io_per_db_call, txn)
+
+    def _abort_invalidated(self, txn: "Transaction") -> None:
+        """Aborted by a transaction that committed elsewhere first."""
+        txn.record_abort()
+        self.metrics.record_abort(txn, self.invalidated_abort_reason)
+        if not self.config.keep_locks_on_abort:
+            self.locks.release_all(txn.txn_id)
+            txn.locked_entities.clear()
+        # Under the paper's modelling assumption surviving locks are kept;
+        # entities taken by the invalidating transaction were already
+        # removed from ``locked_entities`` during eviction.
 
     @property
     def cpu_queue_length(self) -> int:

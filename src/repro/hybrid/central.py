@@ -89,6 +89,8 @@ class _PendingAuth:
 class CentralSite(SiteBase):
     """The central computing complex of the hybrid architecture."""
 
+    invalidated_abort_reason = "central-invalidated"
+
     def __init__(self, env: Environment, config: "SystemConfig",
                  system: "HybridSystem", partition: LockSpacePartition,
                  name: str = "central"):
@@ -506,22 +508,6 @@ class CentralSite(SiteBase):
         finally:
             self.active.pop(txn.txn_id, None)
             self._processes.pop(txn.txn_id, None)
-
-    def _execute_calls(self, txn: Transaction, first_run: bool):
-        config = self.config
-        for reference in txn.references:
-            if not self.locks.is_held_by(reference.entity, txn.txn_id):
-                yield from self.lock_wait(txn, reference)
-            yield from self.cpu_burst(config.instr_per_db_call, txn)
-            if first_run:
-                yield from self.io_wait(config.io_per_db_call, txn)
-
-    def _abort_invalidated(self, txn: Transaction) -> None:
-        txn.record_abort()
-        self.metrics.record_abort(txn, "central-invalidated")
-        if not self.config.keep_locks_on_abort:
-            self.locks.release_all(txn.txn_id)
-            txn.locked_entities.clear()
 
     def _masters_of(self, txn: Transaction) -> dict[int, list]:
         """Group the transaction's references by master site.

@@ -151,6 +151,8 @@ class CircuitBreaker:
 class LocalSite(SiteBase):
     """One geographically distributed system of the hybrid architecture."""
 
+    invalidated_abort_reason = "local-invalidated"
+
     def __init__(self, env: Environment, site_id: int,
                  config: "SystemConfig", system: "HybridSystem",
                  router: "Router"):
@@ -570,34 +572,12 @@ class LocalSite(SiteBase):
         self.txns_lost_in_crash += 1
         self.metrics.record_lost_in_crash(txn)
 
-    def _execute_calls(self, txn: Transaction, first_run: bool):
-        """The ten database calls: lock, CPU burst, data I/O."""
-        config = self.config
-        for reference in txn.references:
-            if not self.locks.is_held_by(reference.entity, txn.txn_id):
-                # Raises DeadlockError on a cycle.
-                yield from self.lock_wait(txn, reference)
-            yield from self.cpu_burst(config.instr_per_db_call, txn)
-            if first_run:
-                yield from self.io_wait(config.io_per_db_call, txn)
-
     def _abort_deadlock(self, txn: Transaction) -> None:
         """Deadlock victim: release *all* locks (Section 4.1) and re-run."""
         txn.record_abort(deadlock=True)
         self.metrics.record_abort(txn, "deadlock")
         self.locks.release_all(txn.txn_id)
         txn.locked_entities.clear()
-
-    def _abort_invalidated(self, txn: Transaction) -> None:
-        """Aborted by a committed central/shipped transaction."""
-        txn.record_abort()
-        self.metrics.record_abort(txn, "local-invalidated")
-        if not self.config.keep_locks_on_abort:
-            self.locks.release_all(txn.txn_id)
-            txn.locked_entities.clear()
-        # Under the paper's modelling assumption surviving locks are kept;
-        # entities taken by the authenticating transaction were already
-        # removed from ``locked_entities`` during eviction.
 
     def _commit_phase(self, txn: Transaction):
         """Commit-protocol hook: finish a transaction that passed its

@@ -17,7 +17,9 @@ simulation study:
   strategy delta when both strategies ran on common random numbers.
 * :class:`IntervalEstimate` -- a point estimate plus half-width.
 
-All confidence intervals use the Student-t quantile from scipy.
+All confidence intervals use the Student-t quantile
+(:func:`scipy.special.stdtrit`, imported on first use so that a single
+simulation never loads scipy).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "RunningStat",
@@ -71,11 +72,20 @@ class IntervalEstimate:
                 f"({self.confidence:.0%}, n={self.n})")
 
 
+def _t_quantile(confidence: float, df: int) -> float:
+    """Two-sided Student-t quantile ``t_{(1 + confidence) / 2, df}``.
+
+    Bit-identical to ``scipy.stats.t.ppf`` (whose ``_ppf`` is this same
+    ``stdtrit`` call), without importing ``scipy.stats``.
+    """
+    from scipy.special import stdtrit
+    return float(stdtrit(df, 0.5 + confidence / 2.0))
+
+
 def _t_half_width(std: float, n: int, confidence: float) -> float:
     if n < 2 or std == 0.0:
         return 0.0
-    quantile = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, n - 1))
-    return quantile * std / math.sqrt(n)
+    return _t_quantile(confidence, n - 1) * std / math.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -124,9 +134,9 @@ def paired_difference(a: Sequence[float], b: Sequence[float],
         d_stat.mean, _t_half_width(d_stat.std, m, confidence),
         confidence, m)
     unpaired_var = (a_stat.variance + b_stat.variance) / m
-    quantile = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, m - 1))
     unpaired = IntervalEstimate(
-        d_stat.mean, quantile * math.sqrt(max(unpaired_var, 0.0)),
+        d_stat.mean,
+        _t_quantile(confidence, m - 1) * math.sqrt(max(unpaired_var, 0.0)),
         confidence, m)
     var_sum = a_stat.variance + b_stat.variance
     if d_stat.variance > 0.0:

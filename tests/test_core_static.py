@@ -1,5 +1,7 @@
 """Unit tests for static load sharing and its optimiser."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -9,6 +11,7 @@ from repro.core import (
     static_router_factory,
 )
 from repro.core.router import RoutingObservation
+from repro.core.static import _solve_static
 from repro.db import LockMode, Placement, Reference, Transaction, \
     TransactionClass
 from repro.hybrid import paper_config
@@ -76,8 +79,36 @@ def test_refinement_not_worse():
 
 
 def test_optimizer_validates_grid():
-    with pytest.raises(ValueError):
-        optimize_static(paper_config(total_rate=10.0), grid_points=2)
+    config = paper_config(total_rate=10.0)
+    for _ in range(2):  # a failed solve is not memoised
+        with pytest.raises(ValueError):
+            optimize_static(config, grid_points=2)
+
+
+def test_optimizer_memo_ignores_only_the_seed():
+    _solve_static.cache_clear()
+    base = paper_config(total_rate=12.0, seed=1)
+    first = optimize_static(base)
+    again = optimize_static(dataclasses.replace(base, seed=2))
+    assert again is first
+    assert _solve_static.cache_info().misses == 1
+    assert _solve_static.cache_info().hits == 1
+
+    optimize_static(dataclasses.replace(base, comm_delay=0.5))
+    optimize_static(base, rate_per_site=1.3)
+    assert _solve_static.cache_info().misses == 3
+
+
+def test_optimizer_memo_matches_an_uncached_solve():
+    config = paper_config(total_rate=20.0, seed=99)
+    optimize_static(config)
+    cached = optimize_static(dataclasses.replace(config, seed=7))
+    fresh = _solve_static.__wrapped__(
+        dataclasses.replace(config, seed=0),
+        config.workload.arrival_rate_per_site, 41, True)
+    assert cached is not fresh
+    for field in dataclasses.fields(fresh):
+        assert getattr(cached, field.name) == getattr(fresh, field.name)
 
 
 def test_larger_delay_ships_less_at_moderate_load():

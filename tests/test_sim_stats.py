@@ -390,3 +390,22 @@ def test_spawn_reproducible():
     a = RandomStreams(seed=11).spawn("rep-1").stream("s").random(4)
     b = RandomStreams(seed=11).spawn("rep-1").stream("s").random(4)
     assert list(a) == list(b)
+
+
+# ---------------------------------------------------------------------------
+# Student-t quantile
+# ---------------------------------------------------------------------------
+
+def test_t_quantile_is_bit_identical_to_scipy_stats():
+    from scipy import stats as scipy_stats
+
+    from repro.sim.stats import _t_quantile
+
+    mismatches = []
+    for confidence in (0.8, 0.9, 0.95, 0.99):
+        for df in [*range(1, 1001), 10**4, 10**6]:
+            expected = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df))
+            actual = _t_quantile(confidence, df)
+            if actual.hex() != expected.hex():
+                mismatches.append((confidence, df, actual, expected))
+    assert mismatches == []

@@ -318,7 +318,9 @@ def test_bench_observability_overhead_budget():
     zero-buffer streaming tracer -- and enforces the overhead budget
     that keeps instrumentation on by default.  Best-of-N wall-clock on
     both sides damps scheduler noise (a single-shot ratio on a shared
-    runner drifts far more than the budget itself).
+    runner drifts far more than the budget itself), and the attempts
+    alternate bare/observed so host drift over the test's run hits both
+    sides alike.
     """
     from repro.experiments.runner import run_single
     from repro.obs.audit import RoutingAudit
@@ -329,25 +331,22 @@ def test_bench_observability_overhead_budget():
                            base_seed=11)
     attempts = 5
 
-    def best_of(runner):
-        best = float("inf")
-        reference = None
-        for _ in range(attempts):
-            started = time.perf_counter()
-            result = runner()
-            elapsed = time.perf_counter() - started
-            if elapsed < best:
-                best = elapsed
-            reference = result
-        return best, reference
+    def timed(runner):
+        started = time.perf_counter()
+        result = runner()
+        return time.perf_counter() - started, result
 
-    bare_seconds, bare = best_of(
-        lambda: run_single("queue-length", 18.0, settings=settings))
-    observed_seconds, observed = best_of(
-        lambda: run_single("queue-length", 18.0, settings=settings,
-                           registry=MetricsRegistry(),
-                           audit=RoutingAudit(),
-                           tracer=Tracer(max_records=0)))
+    bare_seconds = observed_seconds = float("inf")
+    for _ in range(attempts):
+        elapsed, bare = timed(
+            lambda: run_single("queue-length", 18.0, settings=settings))
+        bare_seconds = min(bare_seconds, elapsed)
+        elapsed, observed = timed(
+            lambda: run_single("queue-length", 18.0, settings=settings,
+                               registry=MetricsRegistry(),
+                               audit=RoutingAudit(),
+                               tracer=Tracer(max_records=0)))
+        observed_seconds = min(observed_seconds, elapsed)
 
     # The observers must not have changed the run they were measuring.
     assert observed.identity_dict() == bare.identity_dict()

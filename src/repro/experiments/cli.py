@@ -465,9 +465,10 @@ def main(argv: list[str] | None = None) -> int:
         from .scorecard import run_scorecard
 
         started = time.time()
-        card = run_scorecard(settings)
+        card = run_scorecard(settings, workers=workers, cache=cache)
         print(card.to_text())
-        print("\n" + execution_summary(time.time() - started))
+        print("\n" + execution_summary(time.time() - started,
+                                       workers=workers, cache=cache))
         if not args.figure:
             return 0 if card.all_essential_pass else 1
     if args.sensitivity:

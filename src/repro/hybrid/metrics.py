@@ -24,8 +24,8 @@ figures need is gathered here:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass, field, fields
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from ..db.transaction import (
     Placement,
@@ -33,7 +33,7 @@ from ..db.transaction import (
     TransactionClass,
     TransactionKind,
 )
-from ..obs.registry import MetricsRegistry
+from ..obs.registry import Family, MetricsRegistry
 from ..sim.quantiles import QuantileSet
 from ..sim.spans import PHASE_OTHER, PHASES
 from ..sim.stats import RunningStat, TimeWeightedStat
@@ -43,7 +43,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.engine import Environment
     from .telemetry import TelemetryWindow
 
-__all__ = ["MetricsCollector", "SimulationResult"]
+__all__ = ["COUNTERS", "CounterSpec", "MetricsCollector",
+           "SimulationResult", "counter"]
+
+
+class CounterSpec(NamedTuple):
+    """Where a counter field of :class:`SimulationResult` is counted."""
+
+    family: str
+    help: str
+    label_names: tuple[str, ...]
+    #: The child's label values; ``None`` makes the field the family total.
+    label_values: tuple[str, ...] | None
+
+
+def counter(family: str, help: str, **labels: str) -> Any:
+    """Declare a counter field of :class:`SimulationResult`.
+
+    The field reads registry counter ``family`` (described by ``help``).
+    ``labels`` (``name=value``) select one child of a labelled family;
+    ``"*"`` on every label makes the field the total over the children
+    its hook creates.  :class:`MetricsCollector` binds the child from
+    this declaration and :meth:`MetricsCollector.freeze` reads it back.
+    """
+    values = tuple(labels.values())
+    spec = CounterSpec(family, help, tuple(labels),
+                       None if "*" in values else values)
+    return field(default=0, kw_only=True, metadata={"counter": spec})
 
 
 @dataclass(frozen=True)
@@ -61,25 +87,39 @@ class SimulationResult:
     #: Streaming P^2 estimates: keys p50/p90/p95/p99/min/max.
     response_time_percentiles: dict[str, float]
     throughput: float
-    completed: int
+    completed: int = counter(
+        "txn_completed", "transactions committed in the measurement window")
 
-    class_a_arrivals: int
-    class_a_shipped: int
+    class_a_arrivals: int = counter(
+        "txn_arrivals", "measured class A arrivals", txn_class="A")
+    class_a_shipped: int = counter(
+        "txn_shipped", "class A arrivals routed to the central complex")
 
-    aborts_total: int
-    aborts_deadlock: int
-    aborts_local_invalidated: int
-    aborts_central_invalidated: int
-    auth_negative_acks: int
+    aborts_total: int = counter("txn_aborts", "aborts of any cause",
+                                cause="*")
+    aborts_deadlock: int = counter(
+        "txn_aborts", "aborts of deadlock victims", cause="deadlock")
+    aborts_local_invalidated: int = counter(
+        "txn_aborts", "local transactions invalidated by authentication",
+        cause="local-invalidated")
+    aborts_central_invalidated: int = counter(
+        "txn_aborts", "central transactions invalidated by asynchronous "
+        "updates", cause="central-invalidated")
+    auth_negative_acks: int = counter(
+        "auth_negative_acks", "authentication rounds answered NAK")
 
     mean_local_utilization: float
     mean_central_utilization: float
     mean_local_queue_length: float
     mean_central_queue_length: float
-    messages_to_central: int
-    messages_to_sites: int
+    messages_to_central: int = counter(
+        "messages_sent", "protocol messages sent to the central site",
+        direction="to-central")
+    messages_to_sites: int = counter(
+        "messages_sent", "protocol messages sent to the local sites",
+        direction="to-sites")
 
-    # -- observability extensions (defaulted for compatibility) ------------
+    # -- observability ------------------------------------------------------
 
     #: Mean seconds per lifecycle phase over all completed transactions.
     #: The values sum to :attr:`mean_response_time` (exactly, up to
@@ -111,46 +151,58 @@ class SimulationResult:
     engine_heap_peak: int = 0
     wall_clock_seconds: float = 0.0
 
-    # -- robustness / availability extensions (defaulted; all zero when
-    # -- no fault plan is active) ------------------------------------------
+    # -- robustness and availability (all zero without a fault plan) --------
 
-    #: Shipped transactions whose response retry budget was exhausted.
-    txns_timed_out: int = 0
-    #: Class A transactions re-run locally after a shipment was cancelled.
-    txns_failed_over: int = 0
-    #: Transactions abandoned outright (cancelled class B shipments).
-    txns_failed: int = 0
-    #: Central-side executions killed by a ShipmentCancel.
-    txns_cancelled_central: int = 0
-    #: Class A arrivals routed locally by failure-awareness (central
-    #: suspected or snapshot stale) without consulting the strategy.
-    fallback_routings: int = 0
-    #: Arrivals rejected because their home site was crashed.
-    arrivals_rejected: int = 0
-    #: Messages lost on degraded links / retransmitted by the reliable
-    #: channels / discarded as duplicates at the receivers.
-    messages_dropped: int = 0
-    messages_retransmitted: int = 0
-    duplicate_messages: int = 0
-    #: Fault-episode transitions (applies + reverts) over the whole run.
-    fault_events: int = 0
+    txns_timed_out: int = counter(
+        "txn_timeouts", "shipped transactions whose response retry budget "
+        "was exhausted")
+    txns_failed_over: int = counter(
+        "txn_failovers", "class A transactions re-run locally after a "
+        "shipment was cancelled")
+    txns_failed: int = counter(
+        "txn_failures", "transactions abandoned outright (cancelled class B "
+        "shipments)")
+    txns_cancelled_central: int = counter(
+        "txn_cancelled_central", "central-side executions killed by a "
+        "ShipmentCancel")
+    fallback_routings: int = counter(
+        "fallback_routings", "class A arrivals routed locally by failure "
+        "awareness (central suspected or snapshot stale) without "
+        "consulting the strategy")
+    arrivals_rejected: int = counter(
+        "arrivals_rejected", "arrivals rejected because their home site was "
+        "crashed")
+    messages_dropped: int = counter(
+        "messages_dropped", "messages lost on degraded links")
+    messages_retransmitted: int = counter(
+        "messages_retransmitted", "messages resent by the reliable channels")
+    duplicate_messages: int = counter(
+        "messages_duplicate", "duplicate deliveries discarded by the "
+        "receivers")
+    fault_events: int = counter(
+        "fault_events", "fault-episode transitions (applies + reverts) over "
+        "the whole run")
     #: Per-episode availability summaries
     #: (:class:`~repro.sim.faults.EpisodeReport`).
     fault_episodes: tuple = ()
 
-    # -- survivability extensions (defaulted; all zero/None without a
-    # -- recovery policy) ---------------------------------------------------
+    # -- survivability (all zero/None without a recovery policy) ------------
 
-    #: Arrivals shed by bounded admission control (site or central).
-    arrivals_shed: int = 0
-    #: Transactions destroyed with a site's volatile state by a crash.
-    txns_lost_in_crash: int = 0
-    #: Shipments cancelled because their end-to-end deadline passed.
-    txns_deadline_cancelled: int = 0
-    #: Class B shipments re-shipped to the standby after a failover.
-    txns_reshipped: int = 0
-    #: Circuit-breaker state transitions (open/half-open/closed).
-    breaker_transitions: int = 0
+    arrivals_shed: int = counter(
+        "arrivals_shed", "arrivals shed by bounded admission control (site "
+        "or central)", node="*")
+    txns_lost_in_crash: int = counter(
+        "txns_lost_in_crash", "transactions destroyed with a site's "
+        "volatile state by a crash")
+    txns_deadline_cancelled: int = counter(
+        "txn_deadline_cancels", "shipments cancelled because their "
+        "end-to-end deadline passed")
+    txns_reshipped: int = counter(
+        "txn_reshipped", "class B shipments re-shipped to the standby after "
+        "a failover")
+    breaker_transitions: int = counter(
+        "breaker_transitions", "circuit-breaker state transitions "
+        "(open/half-open/closed)", site="*", state="*")
     #: Hot-standby takeovers (0 or 1 per run -- failover is sticky).
     failover_takeovers: int = 0
     #: Completed site rejoin (catch-up) protocols.
@@ -173,7 +225,7 @@ class SimulationResult:
     #: filtered alongside them by ``identity_dict(include_profile=False)``.
     metrics: dict[str, float] = field(default_factory=dict)
 
-    # -- control-variate extensions (defaulted for compatibility) ----------
+    # -- control variates ---------------------------------------------------
 
     #: Covariate observations with analytically known expectations,
     #: emitted on every run (pure counter bookkeeping -- no extra RNG
@@ -186,15 +238,15 @@ class SimulationResult:
     #: computed from the configuration alone.
     covariate_means: dict[str, float] = field(default_factory=dict)
 
-    # -- commit-protocol extensions (defaulted for compatibility) ----------
+    # -- commit protocol ----------------------------------------------------
 
     #: The commit protocol that produced this run (a name from
     #: :mod:`repro.hybrid.protocols`).
     protocol: str = "optimistic"
-    #: Protocol-specific event counters (``record_protocol_event``
-    #: mirror: prepare rounds, epoch flushes, blocked-transaction
-    #: resolutions, ...).  Empty under the default protocol, which keeps
-    #: pre-extraction results field-identical.
+    #: Protocol-specific event counts, read from the registry's
+    #: ``protocol_events`` family (prepare rounds, epoch flushes,
+    #: blocked-transaction resolutions, ...).  Empty under the default
+    #: protocol, which never fires them.
     protocol_counters: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -281,6 +333,13 @@ class SimulationResult:
             self.mean_response_time
 
 
+#: ``field name -> CounterSpec`` for every counter field of
+#: :class:`SimulationResult`, in declaration order.
+COUNTERS: dict[str, CounterSpec] = {
+    item.name: item.metadata["counter"] for item in fields(SimulationResult)
+    if "counter" in item.metadata}
+
+
 def _phase_stats() -> dict[str, RunningStat]:
     return {phase: RunningStat() for phase in PHASES}
 
@@ -299,11 +358,13 @@ class MetricsCollector:
     ``message``).  Trace emission is unconditional (not gated on the
     warm-up window) so debugging runs see the start-up transient too.
 
-    The scalar protocol counters live in a
+    The scalar counters live in a
     :class:`~repro.obs.registry.MetricsRegistry` (one is created when
-    none is passed): each hook increments a pre-bound registry child,
-    and the historical attribute names (``completed``,
-    ``aborts_deadlock``, ...) remain available as read-only properties.
+    none is passed).  Each counter field of :class:`SimulationResult` is
+    declared once, with :func:`counter`; the collector binds its registry
+    child as ``self._<field>`` (the family itself for a total), the
+    ``record_*`` hooks increment it, :meth:`count` reads it and
+    :meth:`freeze` copies every one into the result.
     An optional :class:`~repro.obs.audit.RoutingAudit` receives every
     placement decision together with the observation that drove it.
     Both are strictly observational and deterministic.
@@ -341,38 +402,21 @@ class MetricsCollector:
         self.n_local = TimeWeightedStat()
 
         # -- registry instruments (children bound once; hooks do one
-        # -- attribute add per event).  All are gated on the measurement
-        # -- window exactly as the historical plain-int fields were.
+        # -- attribute add per event).  Counter fields are gated on the
+        # -- measurement window by their hooks, not here.
         reg = self.registry
-        self._completed = reg.counter(
-            "txn_completed", "transactions committed in the "
-            "measurement window").single
-        arrivals = reg.counter(
-            "txn_arrivals", "measured arrivals by class",
-            labels=("txn_class",))
-        self._arrivals_a = arrivals.labels("A")
-        self._arrivals_b = arrivals.labels("B")
-        self._shipped_a = reg.counter(
-            "txn_shipped", "class A arrivals routed to the central "
-            "complex").single
-        aborts = reg.counter("txn_aborts", "aborts by cause",
-                             labels=("cause",))
-        self._aborts_deadlock = aborts.labels("deadlock")
-        self._aborts_local = aborts.labels("local-invalidated")
-        self._aborts_central = aborts.labels("central-invalidated")
-        self._nak = reg.counter(
-            "auth_negative_acks", "authentication rounds answered "
-            "NAK").single
+        for name, spec in COUNTERS.items():
+            family = reg.counter(spec.family, spec.help,
+                                 labels=spec.label_names)
+            setattr(self, f"_{name}", family if spec.label_values is None
+                    else family.labels(*spec.label_values))
+        # Registry-only instruments.
+        self._class_b_arrivals = reg.get("txn_arrivals").labels("B")
         auth_rounds = reg.counter(
             "auth_rounds", "completed authentication rounds by verdict",
             labels=("verdict",))
         self._auth_granted = auth_rounds.labels("granted")
         self._auth_refused = auth_rounds.labels("refused")
-        messages = reg.counter(
-            "messages_sent", "protocol messages by direction",
-            labels=("direction",))
-        self._msg_central = messages.labels("to-central")
-        self._msg_sites = messages.labels("to-sites")
         self._routing = reg.counter(
             "routing_decisions", "placement decisions by placement "
             "and reason (counted from simulation start)",
@@ -383,56 +427,6 @@ class MetricsCollector:
         self._response_hist = {
             cls: self._response_hist_family.labels(cls.value)
             for cls in TransactionClass}
-
-        # Robustness / availability counters (all stay zero without a
-        # fault plan -- none of the hooks below fire then).
-        self._timed_out = reg.counter(
-            "txn_timeouts", "shipments whose retry budget was "
-            "exhausted").single
-        self._failed_over = reg.counter(
-            "txn_failovers", "timed-out class A shipments re-run at "
-            "home").single
-        self._failed = reg.counter(
-            "txn_failures", "transactions abandoned permanently").single
-        self._cancelled = reg.counter(
-            "txn_cancelled_central", "central executions killed by a "
-            "ShipmentCancel").single
-        self._fallbacks = reg.counter(
-            "fallback_routings", "class A arrivals kept local by "
-            "failure awareness").single
-        self._rejected = reg.counter(
-            "arrivals_rejected", "arrivals turned away by crashed "
-            "sites").single
-        self._dropped = reg.counter(
-            "messages_dropped", "messages lost on degraded links").single
-        self._retransmitted = reg.counter(
-            "messages_retransmitted", "reliable-channel "
-            "retransmissions").single
-        self._duplicates = reg.counter(
-            "messages_duplicate", "duplicate deliveries discarded").single
-        self._faults = reg.counter(
-            "fault_events", "fault-episode transitions (applies + "
-            "reverts)").single
-
-        # Survivability counters (all stay zero unless the fault plan's
-        # recovery policy arms the corresponding protocol).
-        self._shed = reg.counter(
-            "arrivals_shed", "arrivals shed by bounded admission",
-            labels=("node",))
-        self._shed_total = 0
-        self._lost_in_crash = reg.counter(
-            "txns_lost_in_crash", "transactions destroyed with a "
-            "site's volatile state").single
-        self._deadline_cancelled = reg.counter(
-            "txn_deadline_cancels", "shipments cancelled past their "
-            "deadline").single
-        self._reshipped = reg.counter(
-            "txn_reshipped", "class B shipments re-shipped to the "
-            "standby after failover").single
-        self._breaker = reg.counter(
-            "breaker_transitions", "circuit-breaker transitions by "
-            "site and new state", labels=("site", "state"))
-        self._breaker_total = 0
         self._takeovers = reg.counter(
             "takeover_events", "standby takeover protocol events",
             labels=("event",))
@@ -452,7 +446,6 @@ class MetricsCollector:
         self._protocol_events = reg.counter(
             "protocol_events", "commit-protocol events by kind",
             labels=("event",))
-        self.protocol_event_counts: dict[str, int] = {}
         #: Protocol-level recovery timings
         #: (:class:`~repro.sim.faults.RecoveryRecord`).
         self.recoveries: list = []
@@ -488,11 +481,11 @@ class MetricsCollector:
         if not self.measuring:
             return
         if txn.txn_class is TransactionClass.A:
-            self._arrivals_a.inc()
+            self._class_a_arrivals.inc()
             if txn.placement is Placement.SHIPPED:
-                self._shipped_a.inc()
+                self._class_a_shipped.inc()
         else:
-            self._arrivals_b.inc()
+            self._class_b_arrivals.inc()
 
     def record_completion(self, txn: Transaction) -> None:
         self.tracer.emit(self.env.now, "commit", txn=txn.txn_id,
@@ -532,9 +525,9 @@ class MetricsCollector:
         if cause == "deadlock":
             self._aborts_deadlock.inc()
         elif cause == "local-invalidated":
-            self._aborts_local.inc()
+            self._aborts_local_invalidated.inc()
         elif cause == "central-invalidated":
-            self._aborts_central.inc()
+            self._aborts_central_invalidated.inc()
         else:
             raise ValueError(f"unknown abort cause: {cause}")
 
@@ -550,7 +543,7 @@ class MetricsCollector:
                          txn=None if txn is None else txn.txn_id,
                          sites=sites)
         if self.measuring:
-            self._nak.inc()
+            self._auth_negative_acks.inc()
 
     def record_auth_round(self, granted: bool) -> None:
         """One authentication round concluded (registry-only hook).
@@ -574,8 +567,6 @@ class MetricsCollector:
         structural behaviour, not a warmup-sensitive measurement.
         """
         self._protocol_events.labels(event).inc()
-        self.protocol_event_counts[event] = \
-            self.protocol_event_counts.get(event, 0) + 1
 
     def record_message(self, to_central: bool, kind: str | None = None,
                        site: int | None = None) -> None:
@@ -588,9 +579,9 @@ class MetricsCollector:
         if not self.measuring:
             return
         if to_central:
-            self._msg_central.inc()
+            self._messages_to_central.inc()
         else:
-            self._msg_sites.inc()
+            self._messages_to_sites.inc()
 
     # -- robustness hooks (active only under a fault plan) -------------------
 
@@ -603,7 +594,7 @@ class MetricsCollector:
         """
         self.tracer.emit(self.env.now, "fault", fault=kind, phase=phase,
                          site=site)
-        self._faults.inc()
+        self._fault_events.inc()
 
     def record_timeout(self, txn: Transaction) -> None:
         """A shipped transaction's response retry budget was exhausted."""
@@ -611,7 +602,7 @@ class MetricsCollector:
                          site=txn.home_site,
                          txn_class=txn.txn_class.value)
         if self.measuring:
-            self._timed_out.inc()
+            self._txns_timed_out.inc()
 
     def record_failover(self, txn: Transaction) -> None:
         """A timed-out class A shipment re-runs at its home site."""
@@ -621,21 +612,21 @@ class MetricsCollector:
             self.audit.record(txn, placement=Placement.LOCAL.value,
                               reason="failover", now=self.env.now)
         if self.measuring:
-            self._failed_over.inc()
+            self._txns_failed_over.inc()
 
     def record_failure(self, txn: Transaction, cause: str) -> None:
         """A transaction was abandoned permanently (never commits)."""
         self.tracer.emit(self.env.now, "txn-failed", txn=txn.txn_id,
                          site=txn.home_site, cause=cause)
         if self.measuring:
-            self._failed.inc()
+            self._txns_failed.inc()
 
     def record_cancelled(self, txn: Transaction) -> None:
         """Central killed an execution on a ShipmentCancel."""
         self.tracer.emit(self.env.now, "cancel", txn=txn.txn_id,
                          site=txn.home_site)
         if self.measuring:
-            self._cancelled.inc()
+            self._txns_cancelled_central.inc()
 
     def record_fallback_routing(self, txn: Transaction,
                                 reason: str) -> None:
@@ -643,21 +634,21 @@ class MetricsCollector:
         self.tracer.emit(self.env.now, "fallback", txn=txn.txn_id,
                          site=txn.home_site, reason=reason)
         if self.measuring:
-            self._fallbacks.inc()
+            self._fallback_routings.inc()
 
     def record_rejected_arrival(self, txn: Transaction) -> None:
         """An arrival hit a crashed site and was turned away."""
         self.tracer.emit(self.env.now, "rejected", txn=txn.txn_id,
                          site=txn.home_site)
         if self.measuring:
-            self._rejected.inc()
+            self._arrivals_rejected.inc()
 
     def record_drop(self, message) -> None:
         """A degraded link lost a message."""
         if self.tracer.enabled:
             self.tracer.emit(self.env.now, "drop", message=message.kind)
         if self.measuring:
-            self._dropped.inc()
+            self._messages_dropped.inc()
 
     def record_retransmit(self, message) -> None:
         """A reliable channel resent an unacknowledged message."""
@@ -665,12 +656,12 @@ class MetricsCollector:
             self.tracer.emit(self.env.now, "retransmit",
                              message=message.kind)
         if self.measuring:
-            self._retransmitted.inc()
+            self._messages_retransmitted.inc()
 
     def record_duplicate(self, message) -> None:
         """A reliable channel discarded a duplicate delivery."""
         if self.measuring:
-            self._duplicates.inc()
+            self._duplicate_messages.inc()
 
     # -- survivability hooks (active only under a recovery policy) ----------
 
@@ -679,29 +670,28 @@ class MetricsCollector:
         self.tracer.emit(self.env.now, "shed", txn=txn.txn_id,
                          site=txn.home_site, node=node)
         if self.measuring:
-            self._shed.labels(node).inc()
-            self._shed_total += 1
+            self._arrivals_shed.labels(node).inc()
 
     def record_lost_in_crash(self, txn: Transaction) -> None:
         """A site crash destroyed this in-flight transaction."""
         self.tracer.emit(self.env.now, "txn-lost", txn=txn.txn_id,
                          site=txn.home_site)
         if self.measuring:
-            self._lost_in_crash.inc()
+            self._txns_lost_in_crash.inc()
 
     def record_deadline_cancel(self, txn: Transaction) -> None:
         """A shipment was cancelled because its deadline passed."""
         self.tracer.emit(self.env.now, "deadline-cancel",
                          txn=txn.txn_id, site=txn.home_site)
         if self.measuring:
-            self._deadline_cancelled.inc()
+            self._txns_deadline_cancelled.inc()
 
     def record_reship(self, txn: Transaction) -> None:
         """A class B shipment was re-shipped to the standby."""
         self.tracer.emit(self.env.now, "reship", txn=txn.txn_id,
                          site=txn.home_site)
         if self.measuring:
-            self._reshipped.inc()
+            self._txns_reshipped.inc()
 
     def record_breaker(self, site: int, state: str) -> None:
         """A site's circuit breaker changed state.
@@ -710,8 +700,7 @@ class MetricsCollector:
         timeline, like fault-episode transitions.
         """
         self.tracer.emit(self.env.now, "breaker", site=site, state=state)
-        self._breaker.labels(f"site-{site}", state).inc()
-        self._breaker_total += 1
+        self._breaker_transitions.labels(f"site-{site}", state).inc()
 
     def record_takeover(self, event: str) -> None:
         """A takeover protocol event (``takeover``/``primary-deposed``/
@@ -754,135 +743,24 @@ class MetricsCollector:
         self.n_local.record(self.env.now, n_local_total)
         self.n_central.record(self.env.now, n_central)
 
-    # -- historical counter names (read-only registry views) -----------------
-
-    @property
-    def completed(self) -> int:
-        return int(self._completed.value)
-
-    @property
-    def class_a_arrivals(self) -> int:
-        return int(self._arrivals_a.value)
-
-    @property
-    def class_b_arrivals(self) -> int:
-        return int(self._arrivals_b.value)
-
-    @property
-    def class_a_shipped(self) -> int:
-        return int(self._shipped_a.value)
-
-    @property
-    def aborts_deadlock(self) -> int:
-        return int(self._aborts_deadlock.value)
-
-    @property
-    def aborts_local_invalidated(self) -> int:
-        return int(self._aborts_local.value)
-
-    @property
-    def aborts_central_invalidated(self) -> int:
-        return int(self._aborts_central.value)
-
-    @property
-    def auth_negative_acks(self) -> int:
-        return int(self._nak.value)
-
-    @property
-    def messages_to_central(self) -> int:
-        return int(self._msg_central.value)
-
-    @property
-    def messages_to_sites(self) -> int:
-        return int(self._msg_sites.value)
-
-    @property
-    def txns_timed_out(self) -> int:
-        return int(self._timed_out.value)
-
-    @property
-    def txns_failed_over(self) -> int:
-        return int(self._failed_over.value)
-
-    @property
-    def txns_failed(self) -> int:
-        return int(self._failed.value)
-
-    @property
-    def txns_cancelled_central(self) -> int:
-        return int(self._cancelled.value)
-
-    @property
-    def fallback_routings(self) -> int:
-        return int(self._fallbacks.value)
-
-    @property
-    def arrivals_rejected(self) -> int:
-        return int(self._rejected.value)
-
-    @property
-    def messages_dropped(self) -> int:
-        return int(self._dropped.value)
-
-    @property
-    def messages_retransmitted(self) -> int:
-        return int(self._retransmitted.value)
-
-    @property
-    def duplicate_messages(self) -> int:
-        return int(self._duplicates.value)
-
-    @property
-    def fault_events(self) -> int:
-        return int(self._faults.value)
-
-    @property
-    def arrivals_shed(self) -> int:
-        return self._shed_total
-
-    @property
-    def txns_lost_in_crash(self) -> int:
-        return int(self._lost_in_crash.value)
-
-    @property
-    def txns_deadline_cancelled(self) -> int:
-        return int(self._deadline_cancelled.value)
-
-    @property
-    def txns_reshipped(self) -> int:
-        return int(self._reshipped.value)
-
-    @property
-    def breaker_transitions(self) -> int:
-        return self._breaker_total
-
     # -- summary -------------------------------------------------------------
 
-    @property
-    def aborts_total(self) -> int:
-        return (self.aborts_deadlock + self.aborts_local_invalidated +
-                self.aborts_central_invalidated)
+    def count(self, name: str) -> int:
+        """Current value of counter ``name``: a counter field of
+        :class:`SimulationResult`, or ``class_b_arrivals``."""
+        source = getattr(self, f"_{name}")
+        return int(source.total() if isinstance(source, Family)
+                   else source.value)
 
-    def freeze(self, *, total_rate: float, comm_delay: float, strategy: str,
-               seed: int, local_utilizations: list[float],
-               central_utilization: float,
-               mean_local_queue: float,
-               mean_central_queue: float,
-               telemetry: tuple["TelemetryWindow", ...] = (),
-               telemetry_interval: float = 0.0,
-               telemetry_windows_dropped: int = 0,
-               warmup_adequate: bool | None = None,
-               warmup_trend: dict[str, float] | None = None,
-               engine_events: int = 0,
-               engine_events_per_sec: float = 0.0,
-               engine_heap_peak: int = 0,
-               wall_clock_seconds: float = 0.0,
-               fault_episodes: tuple = (),
-               covariates: dict[str, float] | None = None,
-               covariate_means: dict[str, float] | None = None,
-               protocol: str = "optimistic",
-               ) -> SimulationResult:
-        """Produce the immutable result for this run."""
+    def freeze(self, *, local_utilizations: list[float],
+               fault_episodes: tuple = (), **run_fields) -> SimulationResult:
+        """Produce the immutable result for this run.
+
+        ``run_fields`` are the :class:`SimulationResult` fields the system
+        measures itself (rate, strategy, seed, central utilisation, queue
+        means, telemetry, engine profile, covariates, protocol); they pass
+        through unchanged.  Every counter field is read from the registry.
+        """
         measured_time = max(self.env.now - self.warmup_time, 1e-12)
         mean_local_util = (sum(local_utilizations) /
                            len(local_utilizations)
@@ -913,57 +791,16 @@ class MetricsCollector:
             uptime = max(self.env.now - downtime, 0.0)
             mtbf = uptime / len(episodes)
         return SimulationResult(
-            total_rate=total_rate,
-            comm_delay=comm_delay,
-            strategy=strategy,
-            seed=seed,
             mean_response_time=self.response_all.mean,
             response_time_by_class=by_class,
             response_time_by_kind=by_kind,
             response_time_percentiles=self.response_quantiles.summary(),
-            throughput=self.completed / measured_time,
-            completed=self.completed,
-            class_a_arrivals=self.class_a_arrivals,
-            class_a_shipped=self.class_a_shipped,
-            aborts_total=self.aborts_total,
-            aborts_deadlock=self.aborts_deadlock,
-            aborts_local_invalidated=self.aborts_local_invalidated,
-            aborts_central_invalidated=self.aborts_central_invalidated,
-            auth_negative_acks=self.auth_negative_acks,
+            throughput=self.count("completed") / measured_time,
             mean_local_utilization=mean_local_util,
-            mean_central_utilization=central_utilization,
-            mean_local_queue_length=mean_local_queue,
-            mean_central_queue_length=mean_central_queue,
-            messages_to_central=self.messages_to_central,
-            messages_to_sites=self.messages_to_sites,
             response_time_decomposition=decomposition,
             decomposition_by_class=decomposition_by_class,
             decomposition_by_placement=decomposition_by_placement,
-            telemetry=telemetry,
-            telemetry_interval=telemetry_interval,
-            telemetry_windows_dropped=telemetry_windows_dropped,
-            warmup_adequate=warmup_adequate,
-            warmup_trend=dict(warmup_trend or {}),
-            engine_events=engine_events,
-            engine_events_per_sec=engine_events_per_sec,
-            engine_heap_peak=engine_heap_peak,
-            wall_clock_seconds=wall_clock_seconds,
-            txns_timed_out=self.txns_timed_out,
-            txns_failed_over=self.txns_failed_over,
-            txns_failed=self.txns_failed,
-            txns_cancelled_central=self.txns_cancelled_central,
-            fallback_routings=self.fallback_routings,
-            arrivals_rejected=self.arrivals_rejected,
-            messages_dropped=self.messages_dropped,
-            messages_retransmitted=self.messages_retransmitted,
-            duplicate_messages=self.duplicate_messages,
-            fault_events=self.fault_events,
             fault_episodes=episodes,
-            arrivals_shed=self.arrivals_shed,
-            txns_lost_in_crash=self.txns_lost_in_crash,
-            txns_deadline_cancelled=self.txns_deadline_cancelled,
-            txns_reshipped=self.txns_reshipped,
-            breaker_transitions=self.breaker_transitions,
             failover_takeovers=sum(1 for record in recoveries
                                    if record.kind == "failover"),
             site_rejoins=sum(1 for record in recoveries
@@ -972,8 +809,9 @@ class MetricsCollector:
             mttr=mttr,
             mtbf=mtbf,
             metrics=self.registry.snapshot(),
-            covariates=dict(covariates or {}),
-            covariate_means=dict(covariate_means or {}),
-            protocol=protocol,
-            protocol_counters=dict(self.protocol_event_counts),
+            protocol_counters={
+                event: int(child.value) for (event,), child
+                in self._protocol_events.children.items()},
+            **{name: self.count(name) for name in COUNTERS},
+            **run_fields,
         )

@@ -352,8 +352,8 @@ class HybridSystem:
         rate = workload.total_arrival_rate
         window = config.measure_time
         service = config.local_service_time
-        arrivals_a = float(self.metrics.class_a_arrivals)
-        arrivals_b = float(self.metrics.class_b_arrivals)
+        arrivals_a = float(self.metrics.count("class_a_arrivals"))
+        arrivals_b = float(self.metrics.count("class_b_arrivals"))
         covariates = {
             "arrivals_a": arrivals_a,
             "arrivals_b": arrivals_b,
@@ -394,10 +394,10 @@ class HybridSystem:
             local_utilizations=[
                 site.cpu.utilization(since=config.warmup_time)
                 for site in self.sites],
-            central_utilization=self.central.cpu.utilization(
+            mean_central_utilization=self.central.cpu.utilization(
                 since=config.warmup_time),
-            mean_local_queue=self._q_local_tw.mean(self.env.now),
-            mean_central_queue=self._q_central_tw.mean(self.env.now),
+            mean_local_queue_length=self._q_local_tw.mean(self.env.now),
+            mean_central_queue_length=self._q_central_tw.mean(self.env.now),
             telemetry=series.windows,
             telemetry_interval=self.telemetry.interval,
             telemetry_windows_dropped=series.dropped,

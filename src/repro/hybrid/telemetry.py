@@ -203,14 +203,15 @@ class TelemetrySampler:
 
     @staticmethod
     def _counters(metrics) -> dict[str, int]:
+        count = metrics.count
         return {
-            "completed": metrics.completed,
-            "aborts": metrics.aborts_total,
-            "negative_acks": metrics.auth_negative_acks,
-            "class_a_arrivals": metrics.class_a_arrivals,
-            "shipped": metrics.class_a_shipped,
-            "messages": (metrics.messages_to_central +
-                         metrics.messages_to_sites),
+            "completed": count("completed"),
+            "aborts": count("aborts_total"),
+            "negative_acks": count("auth_negative_acks"),
+            "class_a_arrivals": count("class_a_arrivals"),
+            "shipped": count("class_a_shipped"),
+            "messages": (count("messages_to_central") +
+                         count("messages_to_sites")),
         }
 
     def _busy_times(self) -> tuple[float, float]:

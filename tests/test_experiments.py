@@ -204,6 +204,25 @@ def test_cli_runs_figure_with_workers_and_cache(tmp_path, capsys):
     assert "0 miss(es)" in second
 
 
+def test_cli_scorecard_forwards_workers_and_cache(tmp_path, capsys,
+                                                 monkeypatch):
+    from repro.experiments import ResultCache, scorecard
+
+    calls = []
+
+    def fake_scorecard(settings, *, workers, cache):
+        calls.append((workers, cache))
+        return scorecard.Scorecard(results=())
+
+    monkeypatch.setattr(scorecard, "run_scorecard", fake_scorecard)
+    assert main(["--scorecard", "--workers", "2",
+                 "--cache-dir", str(tmp_path)]) == 0
+    ((workers, cache),) = calls
+    assert workers == 2
+    assert isinstance(cache, ResultCache)
+    assert "2 worker(s)" in capsys.readouterr().out
+
+
 def test_cli_no_cache_flag_suppresses_cache_summary(capsys):
     assert main(["--figure", "4.1", "--scale", "0.05", "--no-cache"]) == 0
     out = capsys.readouterr().out

@@ -102,9 +102,9 @@ def test_conflict_stream_forces_reruns_then_commit():
     # ...and the cross-site contention resolved through at least one of
     # the protocol's three mechanisms (NAK, central invalidation, local
     # eviction), whichever the exact interleaving produced.
-    conflicts = (system.metrics.auth_negative_acks +
-                 system.metrics.aborts_central_invalidated +
-                 system.metrics.aborts_local_invalidated)
+    conflicts = (system.metrics.count("auth_negative_acks") +
+                 system.metrics.count("aborts_central_invalidated") +
+                 system.metrics.count("aborts_local_invalidated"))
     assert conflicts >= 1
     # The coherence machinery fully drained afterwards.
     assert site.locks.coherence_count(700) == 0

@@ -34,7 +34,8 @@ __all__ = ["SiteBase"]
 class SiteBase:
     """Common CPU / lock-table behaviour of local and central sites.
 
-    Subclasses provide ``metrics`` (the system's collector) and name the
+    Subclasses provide ``metrics`` (the system's collector) and
+    ``active`` (the transactions running here, by id), and name the
     abort cause recorded when a committing transaction elsewhere
     invalidates one of theirs.
     """
@@ -107,16 +108,41 @@ class SiteBase:
             txn.spans.exit(self.env.now)
         txn.locked_entities.append(reference.entity)
 
-    def _execute_calls(self, txn: "Transaction", first_run: bool):
-        """The ten database calls: lock, CPU burst, data I/O."""
+    def _execute_calls(self, txn: "Transaction",
+                       references: "list[Reference]", first_run: bool):
+        """The database calls on ``references``: lock, CPU burst, I/O."""
         config = self.config
-        for reference in txn.references:
+        for reference in references:
             if not self.locks.is_held_by(reference.entity, txn.txn_id):
                 # Raises DeadlockError on a cycle.
                 yield from self.lock_wait(txn, reference)
             yield from self.cpu_burst(config.instr_per_db_call, txn)
             if first_run:
                 yield from self.io_wait(config.io_per_db_call, txn)
+
+    def _abort_deadlock(self, txn: "Transaction") -> None:
+        """Deadlock victim: release *all* locks (Section 4.1) and re-run."""
+        txn.record_abort(deadlock=True)
+        self.metrics.record_abort(txn, "deadlock")
+        self.locks.release_all(txn.txn_id)
+        txn.locked_entities.clear()
+
+    def _invalidate_holders(self, entities, reason: str) -> list[int]:
+        """Mark for abort every transaction running here that holds a
+        lock on one of ``entities`` (they discover the mark at their
+        commit check).  Returns the other holders -- transactions not
+        running here -- once each, in the order first seen.
+        """
+        others: list[int] = []
+        for entity in entities:
+            for holder_id in self.locks.held_modes(entity):
+                victim = self.active.get(holder_id)
+                if victim is None:
+                    if holder_id not in others:
+                        others.append(holder_id)
+                elif not victim.marked_for_abort:
+                    victim.mark_for_abort(reason)
+        return others
 
     def _abort_invalidated(self, txn: "Transaction") -> None:
         """Aborted by a transaction that committed elsewhere first."""

@@ -23,13 +23,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..db.locks import DeadlockError, LockMode
+from ..db.locks import DeadlockError
 from ..db.replica import ReplicaStore
 from ..db.transaction import Placement, Transaction
 from ..db.workload import LockSpacePartition
 from ..sim.engine import Environment, Event, Interrupt, Process
 from ..sim.network import Link, Message, ReliableEndpoint
-from ..sim.spans import PHASE_AUTH, PHASE_COMM
+from ..sim.spans import PHASE_COMM
 from .base import SiteBase
 from .protocol import (
     AuthReply,
@@ -98,6 +98,8 @@ class CentralSite(SiteBase):
         self.system = system
         self.partition = partition
         self.metrics: "MetricsCollector" = system.metrics
+        #: The protocol's central-role hooks (and their state).
+        self.hooks = system.protocol.central_hooks(self)
 
         #: Class B and shipped class A transactions currently at central.
         self.active: dict[int, Transaction] = {}
@@ -142,6 +144,7 @@ class CentralSite(SiteBase):
         for site_id, link in enumerate(from_sites):
             self.env.process(self._dispatch(site_id, link),
                              name=f"{self.name}:dispatch-{site_id}")
+        self.hooks.start()
 
     def enable_reliability(self, site_id: int,
                            channel: ReliableEndpoint) -> None:
@@ -225,6 +228,13 @@ class CentralSite(SiteBase):
         if self.log_endpoint is not None:
             self.log_endpoint.abandon()
         self._pending_auth.clear()
+        self.hooks.on_deposed()
+
+    @property
+    def holds_central_role(self) -> bool:
+        """Whether this complex is the acting central (a primary until
+        it is deposed)."""
+        return not self.deposed
 
     def snapshot(self) -> CentralSnapshot:
         """Sample the observable central state (piggybacked on messages)."""
@@ -265,7 +275,10 @@ class CentralSite(SiteBase):
 
     def _handle_site_message(self, site_id: int, message: Message):
         payload = message.payload
-        if isinstance(payload, TxnShipment):
+        handler = self.hooks.handlers.get(type(payload))
+        if handler is not None:
+            yield from handler(payload)
+        elif isinstance(payload, TxnShipment):
             self.admit(payload.txn)
         elif isinstance(payload, UpdatePropagation):
             yield from self._apply_updates(payload)
@@ -345,21 +358,14 @@ class CentralSite(SiteBase):
         yield from self.cpu_burst(self.config.instr_update_apply *
                                   len(propagation.updates))
         self.data.apply_updates(propagation.entities)
-        notified_remote: set[int] = set()
-        for entity in propagation.entities:
-            for holder_id in list(self.locks.held_modes(entity)):
-                victim = self.active.get(holder_id)
-                if victim is not None and not victim.marked_for_abort:
-                    victim.mark_for_abort("invalidated-by-update")
-                elif victim is None and holder_id in self._remote_holders \
-                        and holder_id not in notified_remote:
-                    # A distributed-mode transaction holds this entity
-                    # remotely: notify its home site to mark it.
-                    notified_remote.add(holder_id)
-                    self._send(self._remote_holders[holder_id],
-                               "remote-invalidate", RemoteInvalidate(
-                                   txn_id=holder_id,
-                                   snapshot=self.snapshot()))
+        for holder_id in self._invalidate_holders(propagation.entities,
+                                                  "invalidated-by-update"):
+            if holder_id in self._remote_holders:
+                # A distributed-mode transaction holds this entity
+                # remotely: notify its home site to mark it.
+                self._send(self._remote_holders[holder_id],
+                           "remote-invalidate", RemoteInvalidate(
+                               txn_id=holder_id, snapshot=self.snapshot()))
         self._send(propagation.source_site, "update-ack",
                    UpdateAck(updates=propagation.updates,
                              snapshot=self.snapshot(),
@@ -480,12 +486,10 @@ class CentralSite(SiteBase):
                     yield from self.io_wait(config.io_initial, txn)
                 yield from self.cpu_burst(config.instr_txn_overhead, txn)
                 try:
-                    yield from self._execute_calls(txn, first_run)
+                    yield from self._execute_calls(txn, txn.references,
+                                                   first_run)
                 except DeadlockError:
-                    txn.record_abort(deadlock=True)
-                    self.metrics.record_abort(txn, "deadlock")
-                    self.locks.release_all(txn.txn_id)
-                    txn.locked_entities.clear()
+                    self._abort_deadlock(txn)
                     continue
                 # Commit check: invalidated by asynchronous updates?
                 if txn.marked_for_abort:
@@ -531,57 +535,22 @@ class CentralSite(SiteBase):
         return by_site
 
     def _authenticate_and_commit(self, txn: Transaction):
-        """Authentication phase, final validation, commit, response.
+        """Authorisation (the protocol's hook), final validation, commit,
+        response.
 
         Returns True when the transaction committed; False to re-execute
-        (negative acknowledgement or late invalidation).
+        (refused authorisation or late invalidation).
         """
         config = self.config
         yield from self.cpu_burst(config.instr_auth_central, txn)
         masters = self._masters_of(txn)
-        if masters:
-            auth_id = next(self._auth_ids)
-            done = Event(self.env)
-            pending = _PendingAuth(
-                event=done, expected=len(masters), txn_id=txn.txn_id)
-            self._pending_auth[auth_id] = pending
-            for site, references in masters.items():
-                request = AuthRequest(
-                    auth_id=auth_id, txn_id=txn.txn_id,
-                    references=tuple(references),
-                    snapshot=self.snapshot(), deadline=txn.deadline)
-                pending.requests[site] = request
-                self._send(site, "auth-request", request)
-            # Both message legs plus the master-site checks count as the
-            # authentication phase of this transaction's timeline.
-            txn.spans.enter(PHASE_AUTH, self.env.now)
-            try:
-                replies = yield done
-            except Interrupt:
-                # Cancelled mid-round.  The round stays registered,
-                # poisoned, so master grants already in flight are
-                # released once every reply has arrived (releasing
-                # earlier could overtake a not-yet-processed grant).
-                pending.cancelled = True
-                txn.spans.exit(self.env.now)
-                raise
-            txn.spans.exit(self.env.now)
-            self.metrics.record_auth_round(
-                all(reply.granted for reply in replies))
-            if not all(reply.granted for reply in replies):
-                # Some master answered NAK: release any granted locks and
-                # re-execute (the paper: "it re-executes the transaction
-                # and repeats the process").
-                self.metrics.record_negative_ack(
-                    txn, sites=tuple(reply.site for reply in replies
-                                     if not reply.granted))
-                self._release_masters(txn, masters)
-                txn.record_abort()
-                return False
+        held = yield from self.hooks.authorise(txn, masters)
+        if held is None:
+            return False
         # Final validation: were our locks invalidated by asynchronous
-        # updates while we were authenticating?
+        # updates while we were being authorised?
         if txn.marked_for_abort:
-            self._release_masters(txn, masters)
+            self._release_masters(txn, held)
             self._abort_invalidated(txn)
             return False
         try:
@@ -589,30 +558,31 @@ class CentralSite(SiteBase):
         except Interrupt:
             # Cancelled before the commit message: undo the granted
             # authentications, then let _run_central clean up the rest.
-            self._release_masters(txn, masters)
+            self._release_masters(txn, held)
             raise
         if txn.marked_for_abort:
             # Invalidated during commit processing, before the commit
             # message is sent -- still safe to re-execute.
-            self._release_masters(txn, masters)
+            self._release_masters(txn, held)
             self._abort_invalidated(txn)
             return False
-        # Apply the transaction's updates to the central replica and
-        # distribute per-master commit orders carrying the update lists.
+        # Apply the transaction's updates to the central replica and let
+        # the protocol distribute them to the masters.
         self.data.apply_updates(txn.update_entities)
         if txn.update_entities:
             self._ship_log("commit", (tuple(txn.update_entities),))
-        for site, references in masters.items():
-            site_updates = tuple(entity for entity, mode in references
-                                 if mode is LockMode.EXCLUSIVE)
-            self._send(site, "commit", CommitOrder(
-                txn_id=txn.txn_id, snapshot=self.snapshot(),
-                updates=site_updates))
+        self.hooks.distribute(txn, masters)
+        yield from self._respond(txn)
+        return True
+
+    def _respond(self, txn: Transaction):
+        """Release a committed transaction and deliver its response."""
         self.locks.release_all(txn.txn_id)
         txn.locked_entities.clear()
         # The transaction no longer occupies the central site; the output
         # message travels back to the user's region.
         self.active.pop(txn.txn_id, None)
+        txn.spans.enter(PHASE_COMM, self.env.now)
         if self.channels:
             # Reliability on: the response is a real message on the
             # site's channel, so it survives outages via retransmission
@@ -620,17 +590,14 @@ class CentralSite(SiteBase):
             # Past this point the transaction can no longer be killed.
             self._finished.add(txn.txn_id)
             self._processes.pop(txn.txn_id, None)
-            txn.spans.enter(PHASE_COMM, self.env.now)
             self._send(txn.home_site, "txn-response",
                        TxnResponse(txn=txn, snapshot=self.snapshot()))
-            return True
-        txn.spans.enter(PHASE_COMM, self.env.now)
-        yield self.env.timeout(config.comm_delay)
+            return
+        yield self.env.timeout(self.config.comm_delay)
         txn.complete(self.env.now)
         self.metrics.record_completion(txn)
         if txn.placement is Placement.SHIPPED:
             self.system.sites[txn.home_site].on_shipped_response(txn)
-        return True
 
     def _release_masters(self, txn: Transaction,
                          masters: dict[int, list]) -> None:

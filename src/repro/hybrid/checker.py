@@ -26,7 +26,7 @@ runs, not for the large benchmark sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..db.locks import LockMode
 from .protocol import UpdatePropagation

@@ -26,162 +26,132 @@ batches are re-sent on failover (``LocalSite._on_failover``) and the
 standby deduplicates them against the shipped log by ``(site, seq)``
 -- which is exactly an in-flight-epoch replay; the waiting
 group-committed transactions complete when the standby's ack arrives.
+Before its takeover the standby's epoch ticker idles (it only replays
+the shipped log).
 """
 
 from __future__ import annotations
 
-from ..central import CentralSite
-from ..local import LocalSite
-from ..protocol import EpochCommitOrder, TxnResponse, UpdatePropagation
-from ..standby import StandbyCentral
+from ..protocol import EpochCommitOrder, UpdatePropagation
 from ...db.locks import LockMode
-from ...db.transaction import Placement, Transaction
+from ...db.transaction import Transaction
 from ...sim.engine import Event, Interrupt
 from ...sim.spans import PHASE_AUTH, PHASE_COMM
 from . import register
-from .base import CommitProtocol
+from .base import CentralHooks, CommitProtocol, LocalHooks
 
-__all__ = ["EpochProtocol", "EpochLocalSite", "EpochCentralSite",
-           "EpochStandby"]
+__all__ = ["EpochProtocol", "EpochLocal", "EpochCentral"]
 
 
-class EpochLocalSite(LocalSite):
+class EpochLocal(LocalHooks):
     """Local site with epoch-batched update shipping and group commit."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, site):
+        super().__init__(site)
         #: Updating transactions committed this epoch, awaiting the
         #: boundary flush.
         self._epoch_pending: list[Transaction] = []
         #: seq -> the transactions group-committing on that batch's ack.
         self._awaiting_ack: dict[int, tuple[Transaction, ...]] = {}
+        self.handlers = {EpochCommitOrder: self._handle_epoch_commit}
 
-    def attach_links(self, to_central, from_central) -> None:
-        self.to_central = to_central
-        self.from_central = from_central
-        self.env.process(self._dispatch(), name=f"{self.name}:dispatch")
+    def start(self):
         # One flush cadence: the epoch boundary (replaces the batching
         # threshold and the partial-batch flush loop alike).
-        self.env.process(self._epoch_loop(), name=f"{self.name}:epoch")
+        site = self.site
+        site.env.process(self._epoch_loop(), name=f"{site.name}:epoch")
 
     def _epoch_loop(self):
-        interval = self.config.epoch_interval
+        interval = self.site.config.epoch_interval
         while True:
-            yield self.env.timeout(interval)
-            self._flush_updates()
+            yield self.site.env.timeout(interval)
+            self._flush_epoch()
 
-    def _queue_update(self, updates: tuple[int, ...]) -> None:
+    def queue_update(self, updates):
         # Buffer for the epoch boundary; never flush on a threshold.
-        self._update_buffer.append(updates)
+        self.site._update_buffer.append(updates)
 
-    def _flush_updates(self) -> None:
+    def _flush_epoch(self) -> None:
+        site = self.site
         pending = tuple(self._epoch_pending)
         self._epoch_pending.clear()
-        if not self._update_buffer:
+        if not site._update_buffer:
             return
-        seq_before = self._update_seq
-        super()._flush_updates()
-        seq = self._update_seq
-        assert seq == seq_before + 1
+        site._flush_updates()
         if pending:
-            self._awaiting_ack[seq] = pending
-        self.metrics.record_protocol_event("epoch-flush")
+            self._awaiting_ack[site._update_seq] = pending
+        site.metrics.record_protocol_event("epoch-flush")
 
-    def _commit_phase(self, txn):
-        self.locks.release_all(txn.txn_id)
-        txn.locked_entities.clear()
+    def commit(self, txn):
+        site = self.site
         updates = txn.update_entities
-        if not updates:
-            # Read-only: nothing to make durable, respond immediately.
-            txn.complete(self.env.now)
-            self.metrics.record_completion(txn)
-            self.router.observe_completion(txn)
-            return True
         # Group commit: apply and unlock now (later local transactions
         # see the writes), respond at the epoch ack.
-        self.data.apply_updates(updates)
-        for entity in updates:
-            self.locks.increment_coherence(entity)
-        self._queue_update(updates)
+        site._apply_local_commit(txn, updates)
+        if not updates:
+            # Read-only: nothing to make durable, respond immediately.
+            site._complete(txn)
+            return True
         self._epoch_pending.append(txn)
-        self.metrics.record_protocol_event("group-commit-deferred")
-        txn.spans.enter(PHASE_COMM, self.env.now)
+        site.metrics.record_protocol_event("group-commit-deferred")
+        txn.spans.enter(PHASE_COMM, site.env.now)
         return True
         yield  # pragma: no cover - unreachable; makes this a generator
 
-    def _handle_update_ack(self, ack) -> None:
-        fresh = ack.seq in self._unacked_updates
-        super()._handle_update_ack(ack)
-        if not fresh:
-            return
-        for txn in self._awaiting_ack.pop(ack.seq, ()):
-            self.metrics.record_protocol_event("group-commit")
-            txn.complete(self.env.now)
-            self.metrics.record_completion(txn)
-            self.router.observe_completion(txn)
+    def on_update_ack(self, seq):
+        for txn in self._awaiting_ack.pop(seq, ()):
+            self.site.metrics.record_protocol_event("group-commit")
+            self.site._complete(txn)
 
     def _handle_epoch_commit(self, order: EpochCommitOrder) -> None:
         """A central transaction epoch-committed: apply its updates for
         entities mastered here and invalidate conflicting local holders
         (the epoch order wins; there are no master locks to release)."""
-        self.data.apply_updates(order.updates)
-        for entity in order.updates:
-            for holder_id in list(self.locks.held_modes(entity)):
-                victim = self.active.get(holder_id)
-                if victim is not None and not victim.marked_for_abort:
-                    victim.mark_for_abort("invalidated-by-epoch-commit")
+        site = self.site
+        site.data.apply_updates(order.updates)
+        site._invalidate_holders(order.updates,
+                                 "invalidated-by-epoch-commit")
 
-    def _on_central_message(self, message) -> None:
-        payload = message.payload
-        if isinstance(payload, EpochCommitOrder):
-            if payload.snapshot.time > self.central_snapshot.time:
-                self.central_snapshot = payload.snapshot
-            self._handle_epoch_commit(payload)
-            return
-        super()._on_central_message(message)
-
-    def on_crash(self) -> None:
+    def on_crash(self):
         # Transactions whose response was parked on an epoch ack die
-        # with the volatile state (the base hook clears the buffers and
-        # unacked batches they ride on).
+        # with the volatile state (the site already dropped the buffers
+        # and unacked batches they ride on).
+        site = self.site
         waiting = [txn for seq in sorted(self._awaiting_ack)
                    for txn in self._awaiting_ack[seq]]
         waiting.extend(self._epoch_pending)
-        super().on_crash()
         for txn in waiting:
-            self.txns_lost_in_crash += 1
-            self.metrics.record_lost_in_crash(txn)
+            site.txns_lost_in_crash += 1
+            site.metrics.record_lost_in_crash(txn)
         self._awaiting_ack.clear()
         self._epoch_pending.clear()
 
 
-class EpochCentralMixin:
-    """Epoch buffering and the deterministic boundary resolution."""
+class EpochCentral(CentralHooks):
+    """Epoch buffering and the deterministic boundary resolution, on the
+    primary and (after its takeover) the hot standby."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, central):
+        super().__init__(central)
         #: Site batches received this epoch, applied at the boundary.
         self._epoch_updates: list[UpdatePropagation] = []
         #: (txn_id, wakeup) of central commits waiting for the boundary.
         self._epoch_commits: list[tuple[int, Event]] = []
+        self.handlers = {UpdatePropagation: self._buffer_batch}
 
-    def attach_links(self, to_sites, from_sites) -> None:
-        super().attach_links(to_sites=to_sites, from_sites=from_sites)
-        self.env.process(self._epoch_ticker(), name=f"{self.name}:epoch")
-
-    def _epoch_should_tick(self) -> bool:
-        if self.deposed:
-            return False
-        is_active = getattr(self, "is_active", None)
-        return True if is_active is None else bool(is_active)
+    def start(self):
+        central = self.central
+        central.env.process(self._epoch_ticker(),
+                            name=f"{central.name}:epoch")
 
     def _epoch_ticker(self):
-        interval = self.config.epoch_interval
+        central = self.central
+        interval = central.config.epoch_interval
         while True:
-            yield self.env.timeout(interval)
-            if self.deposed:
+            yield central.env.timeout(interval)
+            if central.deposed:
                 return
-            if not self._epoch_should_tick():
+            if not central.holds_central_role:
                 continue  # a standby ticks only after takeover
             yield from self._close_epoch()
 
@@ -194,30 +164,28 @@ class EpochCentralMixin:
         for batch in batches:
             # The stock application path: dedup against the shipped log,
             # invalidate central holders, ack, ship to the standby.
-            yield from self._apply_updates(batch)
-            self.metrics.record_protocol_event("epoch-batch")
+            yield from self.central._apply_updates(batch)
+            self.central.metrics.record_protocol_event("epoch-batch")
         waiters, self._epoch_commits = self._epoch_commits, []
         for _txn_id, wakeup in waiters:
             if not wakeup.triggered:
                 wakeup.succeed(None)
 
-    def _handle_site_message(self, site_id, message):
-        payload = message.payload
-        if isinstance(payload, UpdatePropagation):
-            self._epoch_updates.append(payload)
-            return
-        yield from super()._handle_site_message(site_id, message)
+    def _buffer_batch(self, batch: UpdatePropagation):
+        self._epoch_updates.append(batch)
+        return
+        yield  # pragma: no cover - unreachable; makes this a generator
 
-    def _authenticate_and_commit(self, txn: Transaction):
+    def authorise(self, txn, masters):
         """Epoch commit: wait for the boundary instead of an
         authentication round; the deterministic ordering resolves
-        conflicts (that epoch's site batches win)."""
-        config = self.config
-        yield from self.cpu_burst(config.instr_auth_central, txn)
-        wakeup = Event(self.env)
+        conflicts (that epoch's site batches win).  No master holds a
+        grant, so nothing is released on a later abort."""
+        central = self.central
+        wakeup = Event(central.env)
         entry = (txn.txn_id, wakeup)
         self._epoch_commits.append(entry)
-        txn.spans.enter(PHASE_AUTH, self.env.now)
+        txn.spans.enter(PHASE_AUTH, central.env.now)
         try:
             yield wakeup
         except Interrupt:
@@ -225,64 +193,25 @@ class EpochCentralMixin:
             # wake a dead transaction's event.
             self._epoch_commits = [e for e in self._epoch_commits
                                    if e is not entry]
-            txn.spans.exit(self.env.now)
+            txn.spans.exit(central.env.now)
             raise
-        txn.spans.exit(self.env.now)
-        if txn.marked_for_abort:
-            # Lost to this epoch's site batches -- deterministically.
-            self._abort_invalidated(txn)
-            return False
-        yield from self.cpu_burst(config.instr_commit, txn)
-        if txn.marked_for_abort:
-            self._abort_invalidated(txn)
-            return False
-        self.metrics.record_protocol_event("epoch-central-commit")
-        self.data.apply_updates(txn.update_entities)
-        if txn.update_entities:
-            self._ship_log("commit", (tuple(txn.update_entities),))
-        for site, references in self._masters_of(txn).items():
+        txn.spans.exit(central.env.now)
+        return {}
+
+    def distribute(self, txn, masters):
+        central = self.central
+        central.metrics.record_protocol_event("epoch-central-commit")
+        for site, references in masters.items():
             site_updates = tuple(entity for entity, mode in references
                                  if mode is LockMode.EXCLUSIVE)
             if site_updates:
-                self._send(site, "epoch-commit", EpochCommitOrder(
-                    txn_id=txn.txn_id, snapshot=self.snapshot(),
+                central._send(site, "epoch-commit", EpochCommitOrder(
+                    txn_id=txn.txn_id, snapshot=central.snapshot(),
                     updates=site_updates))
-        self.locks.release_all(txn.txn_id)
-        txn.locked_entities.clear()
-        self.active.pop(txn.txn_id, None)
-        if self.channels:
-            self._finished.add(txn.txn_id)
-            self._processes.pop(txn.txn_id, None)
-            txn.spans.enter(PHASE_COMM, self.env.now)
-            self._send(txn.home_site, "txn-response",
-                       TxnResponse(txn=txn, snapshot=self.snapshot()))
-            return True
-        txn.spans.enter(PHASE_COMM, self.env.now)
-        yield self.env.timeout(config.comm_delay)
-        txn.complete(self.env.now)
-        self.metrics.record_completion(txn)
-        if txn.placement is Placement.SHIPPED:
-            self.system.sites[txn.home_site].on_shipped_response(txn)
-        return True
 
-    def _on_deposed(self) -> None:
-        super()._on_deposed()
+    def on_deposed(self):
         self._epoch_updates.clear()
         self._epoch_commits.clear()
-
-
-class EpochCentralSite(EpochCentralMixin, CentralSite):
-    """The epoch sequencer."""
-
-
-class EpochStandby(EpochCentralMixin, StandbyCentral):
-    """Hot standby under the epoch protocol.
-
-    Before takeover it only replays the shipped log (its epoch ticker
-    idles); afterwards re-sent in-flight batches land in its epoch
-    buffer, are deduplicated against the log by ``(site, seq)`` and
-    acknowledged -- completing the sites' parked group commits.
-    """
 
 
 @register
@@ -290,21 +219,5 @@ class EpochProtocol(CommitProtocol):
     """Deterministic epoch-batched group commit."""
 
     name = "epoch"
-
-    messages_per_local_commit = ("~2/epoch amortised: one batched "
-                                 "``UpdatePropagation`` + ``UpdateAck`` "
-                                 "per site per epoch")
-    blocking = ("non-blocking for conflicts (locks release at the local "
-                "commit point); responses wait for the epoch ack "
-                "(group-commit latency <= epoch + round trip)")
-    consistency = ("epoch-atomic: replicas agree at every applied epoch "
-                   "boundary; exact after drain")
-
-    def make_local(self, env, site_id, config, system, router):
-        return EpochLocalSite(env, site_id, config, system, router)
-
-    def make_central(self, env, config, system, partition):
-        return EpochCentralSite(env, config, system, partition)
-
-    def make_standby(self, env, config, system, partition):
-        return EpochStandby(env, config, system, partition)
+    local_hooks = EpochLocal
+    central_hooks = EpochCentral

@@ -33,149 +33,120 @@ and the transactions re-prepare against the standby.
 
 from __future__ import annotations
 
-from ..central import CentralSite
-from ..local import LocalSite
-from ..protocol import AuthReply, TxnDecision, TxnPrepare, TxnVote
-from ..standby import StandbyCentral
+from ..protocol import TxnDecision, TxnPrepare, TxnVote
 from ...sim.engine import Event, Interrupt
 from ...sim.spans import PHASE_AUTH
 from . import register
-from .base import CommitProtocol
+from .base import CentralHooks, CommitProtocol, LocalHooks
 
-__all__ = ["TwoPhaseProtocol", "TwoPhaseLocalSite", "TwoPhaseCentralSite",
-           "TwoPhaseStandby"]
+__all__ = ["TwoPhaseProtocol", "TwoPhaseLocal", "TwoPhaseCentral"]
 
 
-class TwoPhaseLocalSite(LocalSite):
+class TwoPhaseLocal(LocalHooks):
     """Local site under primary-copy 2PC: prepared commits block."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, site):
+        super().__init__(site)
         #: Transactions between prepare and vote (holding their locks).
         self._indoubt: set[int] = set()
         #: txn_id -> Event the committing process is blocked on.
         self._pending_votes: dict[int, Event] = {}
+        self.handlers = {TxnVote: self._handle_vote}
 
     # -- the site-coordinated leg -------------------------------------------
 
-    def _commit_phase(self, txn):
+    def commit(self, txn):
         updates = txn.update_entities
         if not updates:
             # Read-only commits have nothing to coordinate; the base
             # commit is pure local bookkeeping then (no propagation).
-            self._commit(txn)
-            return True
-        done = Event(self.env)
+            return (yield from super().commit(txn))
+        site = self.site
+        done = Event(site.env)
         self._pending_votes[txn.txn_id] = done
         self._indoubt.add(txn.txn_id)
-        self.metrics.record_protocol_event("prepare-sent")
-        self._send_central("prepare", TxnPrepare(
-            txn_id=txn.txn_id, site=self.site_id, updates=updates))
+        site.metrics.record_protocol_event("prepare-sent")
+        site._send_central("prepare", TxnPrepare(
+            txn_id=txn.txn_id, site=site.site_id, updates=updates))
         # Blocking window: locks held, no watchdog -- coordinator
         # failure leaves this transaction in-doubt until failover.
-        txn.spans.enter(PHASE_AUTH, self.env.now)
+        txn.spans.enter(PHASE_AUTH, site.env.now)
         try:
             vote = yield done
         except Interrupt:
-            txn.spans.exit(self.env.now)
+            txn.spans.exit(site.env.now)
             raise
         finally:
             self._pending_votes.pop(txn.txn_id, None)
             self._indoubt.discard(txn.txn_id)
-        txn.spans.exit(self.env.now)
+        txn.spans.exit(site.env.now)
         if not vote.granted:
-            self.metrics.record_protocol_event("vote-refused")
+            site.metrics.record_protocol_event("vote-refused")
             txn.record_abort()
-            self.metrics.record_abort(txn, "local-invalidated")
+            site.metrics.record_abort(txn, "local-invalidated")
             return False  # re-execute, locks kept (Section 3.1 rule)
-        self.metrics.record_protocol_event("vote-granted")
+        site.metrics.record_protocol_event("vote-granted")
         # Phase 2: commit locally and tell the primary copy.
-        self._send_central("decision", TxnDecision(
-            txn_id=txn.txn_id, site=self.site_id, commit=True,
+        site._send_central("decision", TxnDecision(
+            txn_id=txn.txn_id, site=site.site_id, commit=True,
             updates=updates))
-        self.locks.release_all(txn.txn_id)
+        site.locks.release_all(txn.txn_id)
         txn.locked_entities.clear()
-        self.data.apply_updates(updates)
-        txn.complete(self.env.now)
-        self.metrics.record_completion(txn)
-        self.router.observe_completion(txn)
+        site.data.apply_updates(updates)
+        site._complete(txn)
         return True
+
+    def _handle_vote(self, vote: TxnVote) -> None:
+        # Popped here (not on wakeup) so a duplicate vote can never
+        # hit an already-succeeded event.
+        done = self._pending_votes.pop(vote.txn_id, None)
+        if done is not None:
+            done.succeed(vote)
 
     # -- the central-coordinated leg at the master --------------------------
 
-    def _handle_auth(self, request):
-        blocked = any(
-            holder in self._indoubt
-            for entity, _mode in request.references
-            for holder in self.locks.held_modes(entity))
-        if blocked:
+    def auth_refusal(self, request):
+        site = self.site
+        if any(holder in self._indoubt
+               for entity, _mode in request.references
+               for holder in site.locks.held_modes(entity)):
             # An in-doubt holder cannot be evicted: its outcome is owned
             # by the coordinator's vote, not this authentication round.
-            yield from self.cpu_burst(self.config.instr_auth_master)
-            self.metrics.record_protocol_event("indoubt-refusal")
-            self._send_central("auth-reply", AuthReply(
-                auth_id=request.auth_id, txn_id=request.txn_id,
-                site=self.site_id, granted=False,
-                aborted_local_txns=()))
-            return
-        yield from super()._handle_auth(request)
-
-    # -- message plumbing ----------------------------------------------------
-
-    def _on_central_message(self, message):
-        payload = message.payload
-        if isinstance(payload, TxnVote):
-            if payload.snapshot.time > self.central_snapshot.time:
-                self.central_snapshot = payload.snapshot
-            # Popped here (not on wakeup) so a duplicate vote can never
-            # hit an already-succeeded event.
-            done = self._pending_votes.pop(payload.txn_id, None)
-            if done is not None:
-                done.succeed(payload)
-            return
-        super()._on_central_message(message)
+            return "indoubt-refusal"
+        return None
 
     # -- recovery hooks ------------------------------------------------------
 
-    def _on_failover(self, notice):
-        if self.on_standby:
-            return
-        super()._on_failover(notice)
+    def on_failover(self, notice):
         # Blocked-on-coordinator-failure resolution: the standby has an
         # empty in-doubt registry, so failing the pending votes (abort,
         # re-execute, re-prepare against the new coordinator) is safe.
         for txn_id in sorted(self._pending_votes):
             done = self._pending_votes.pop(txn_id)
-            self.metrics.record_protocol_event("blocked-resolved")
+            self.site.metrics.record_protocol_event("blocked-resolved")
             done.succeed(TxnVote(txn_id=txn_id, granted=False,
                                  snapshot=notice.snapshot))
 
-    def on_crash(self) -> None:
-        super().on_crash()
+    def on_crash(self):
         # The blocked processes were interrupted with the rest; the
         # in-doubt bookkeeping dies with the volatile state.
         self._pending_votes.clear()
         self._indoubt.clear()
 
 
-class TwoPhaseCentralMixin:
-    """Coordinator state shared by the primary and the hot standby."""
+class TwoPhaseCentral(CentralHooks):
+    """Coordinator state, on the primary and the hot standby alike (the
+    standby takes over with an empty in-doubt registry; blocked site
+    transactions resolve via refused votes and re-prepare there)."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, central):
+        super().__init__(central)
         #: txn_id -> its TxnPrepare, between vote and decision.
         self._indoubt_sites: dict[int, TxnPrepare] = {}
         #: entity -> in-doubt txn_id (the conflict-detection index).
         self._indoubt_entities: dict[int, int] = {}
-
-    def _handle_site_message(self, site_id, message):
-        payload = message.payload
-        if isinstance(payload, TxnPrepare):
-            yield from self._handle_prepare(payload)
-        elif isinstance(payload, TxnDecision):
-            yield from self._handle_decision(payload)
-        else:
-            yield from super()._handle_site_message(site_id, message)
+        self.handlers = {TxnPrepare: self._handle_prepare,
+                         TxnDecision: self._handle_decision}
 
     def _handle_prepare(self, prepare: TxnPrepare):
         """Phase 1 at the coordinator: vote on a site's updating commit.
@@ -187,20 +158,21 @@ class TwoPhaseCentralMixin:
         their central locks are invalidated at decision time, exactly
         like the optimistic protocol's update application.
         """
-        yield from self.cpu_burst(self.config.instr_auth_central)
+        central = self.central
+        yield from central.cpu_burst(central.config.instr_auth_central)
         granted = not any(entity in self._indoubt_entities
                           for entity in prepare.updates)
         if granted:
             self._indoubt_sites[prepare.txn_id] = prepare
             for entity in prepare.updates:
                 self._indoubt_entities[entity] = prepare.txn_id
-            self.metrics.record_protocol_event("prepare-granted")
+            central.metrics.record_protocol_event("prepare-granted")
         else:
-            self.metrics.record_protocol_event("prepare-refused")
-        self.metrics.record_auth_round(granted)
-        self._send(prepare.site, "vote", TxnVote(
+            central.metrics.record_protocol_event("prepare-refused")
+        central.metrics.record_auth_round(granted)
+        central._send(prepare.site, "vote", TxnVote(
             txn_id=prepare.txn_id, granted=granted,
-            snapshot=self.snapshot()))
+            snapshot=central.snapshot()))
 
     def _handle_decision(self, decision: TxnDecision):
         """Phase 2: settle an in-doubt transaction at the primary copy."""
@@ -210,33 +182,20 @@ class TwoPhaseCentralMixin:
         for entity in prepare.updates:
             if self._indoubt_entities.get(entity) == decision.txn_id:
                 del self._indoubt_entities[entity]
+        central = self.central
         if not decision.commit:
-            self.metrics.record_protocol_event("decision-abort")
+            central.metrics.record_protocol_event("decision-abort")
             return
-        self.metrics.record_protocol_event("decision-commit")
-        yield from self.cpu_burst(self.config.instr_update_apply)
-        self.data.apply_updates(decision.updates)
-        for entity in decision.updates:
-            for holder_id in list(self.locks.held_modes(entity)):
-                victim = self.active.get(holder_id)
-                if victim is not None and not victim.marked_for_abort:
-                    victim.mark_for_abort("invalidated-by-update")
-        self._ship_log("commit", (tuple(decision.updates),))
+        central.metrics.record_protocol_event("decision-commit")
+        yield from central.cpu_burst(central.config.instr_update_apply)
+        central.data.apply_updates(decision.updates)
+        central._invalidate_holders(decision.updates,
+                                    "invalidated-by-update")
+        central._ship_log("commit", (tuple(decision.updates),))
 
-    def _on_deposed(self) -> None:
-        super()._on_deposed()
+    def on_deposed(self):
         self._indoubt_sites.clear()
         self._indoubt_entities.clear()
-
-
-class TwoPhaseCentralSite(TwoPhaseCentralMixin, CentralSite):
-    """The primary-copy coordinator."""
-
-
-class TwoPhaseStandby(TwoPhaseCentralMixin, StandbyCentral):
-    """Hot standby under 2PC: takes over with an empty in-doubt
-    registry; blocked site transactions resolve via refused votes and
-    re-prepare here."""
 
 
 @register
@@ -244,20 +203,5 @@ class TwoPhaseProtocol(CommitProtocol):
     """Primary-copy two-phase commit."""
 
     name = "2pc"
-
-    messages_per_local_commit = ("3 synchronous messages: ``TxnPrepare`` "
-                                 "+ ``TxnVote`` + ``TxnDecision``")
-    blocking = ("blocking: prepared transactions hold their locks until "
-                "the coordinator votes -- including across coordinator "
-                "failure (resolved only by failover)")
-    consistency = ("primary copy synchronous at decision time; exact "
-                   "after drain")
-
-    def make_local(self, env, site_id, config, system, router):
-        return TwoPhaseLocalSite(env, site_id, config, system, router)
-
-    def make_central(self, env, config, system, partition):
-        return TwoPhaseCentralSite(env, config, system, partition)
-
-    def make_standby(self, env, config, system, partition):
-        return TwoPhaseStandby(env, config, system, partition)
+    local_hooks = TwoPhaseLocal
+    central_hooks = TwoPhaseCentral

@@ -70,6 +70,11 @@ class StandbyCentral(CentralSite):
         self.env.process(self._lease_monitor(),
                          name="standby:lease-monitor")
 
+    @property
+    def holds_central_role(self) -> bool:
+        """Whether this standby has taken over the central role."""
+        return self.is_active
+
     def _ship_log(self, kind: str, updates, site=None, seq: int = 0) -> None:
         """The standby has no standby of its own: nothing to ship."""
         return
@@ -101,11 +106,7 @@ class StandbyCentral(CentralSite):
         if self.is_active and self.active:
             # Post-takeover stragglers from the dying primary can still
             # invalidate transactions now running here.
-            for entity in entities:
-                for holder_id in list(self.locks.held_modes(entity)):
-                    victim = self.active.get(holder_id)
-                    if victim is not None and not victim.marked_for_abort:
-                        victim.mark_for_abort("invalidated-by-update")
+            self._invalidate_holders(entities, "invalidated-by-update")
 
     # -- failure detection and takeover --------------------------------------
 

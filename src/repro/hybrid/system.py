@@ -79,16 +79,15 @@ class HybridSystem:
         self.partition = LockSpacePartition(config.workload.lockspace,
                                             config.workload.n_sites)
 
-        # The commit protocol is a class selection: it supplies the
-        # local/central/standby implementations wired below (the default
-        # returns the stock classes unchanged).
+        # The commit protocol supplies the hook objects each site below
+        # builds for itself (the sites themselves are always the stock
+        # classes).
         self.protocol = get_protocol(config.protocol)
-        self.central = self.protocol.make_central(self.env, config, self,
-                                                  self.partition)
+        self.central = CentralSite(self.env, config, self, self.partition)
         self.routers = [router_factory(config, site_id)
                         for site_id in range(config.n_sites)]
-        self.sites = [self.protocol.make_local(self.env, site_id, config,
-                                               self, self.routers[site_id])
+        self.sites = [LocalSite(self.env, site_id, config, self,
+                                self.routers[site_id])
                       for site_id in range(config.n_sites)]
         self.strategy_name = self.routers[0].name if self.routers else "none"
         if audit is not None and not audit.strategy:
@@ -144,8 +143,8 @@ class HybridSystem:
                 for site in self.sites:
                     site.enable_recovery(recovery)
             if recovery.failover:
-                self.standby = self.protocol.make_standby(
-                    self.env, config, self, self.partition)
+                self.standby = StandbyCentral(self.env, config, self,
+                                              self.partition)
                 self.standby.enable_recovery(recovery)
                 standby_to_sites = []
                 standby_from_sites = []
@@ -197,8 +196,6 @@ class HybridSystem:
         # Windowed run telemetry (ring-buffered; see telemetry module).
         self.telemetry = TelemetrySampler(self, telemetry_interval,
                                           telemetry_capacity)
-
-        self.protocol.on_wired(self)
 
     # -- observation helpers ------------------------------------------------
 

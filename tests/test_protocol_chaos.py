@@ -75,7 +75,8 @@ def test_2pc_blocked_transactions_resolve_on_takeover(twophase_failover):
     # last round trip), not a survivor of the dead coordinator.
     (episode,) = system.fault_plan.episodes
     for site in system.sites:
-        for txn_id in site._indoubt | set(site._pending_votes):
+        hooks = site.hooks
+        for txn_id in hooks._indoubt | set(hooks._pending_votes):
             txn = site.active[txn_id]
             assert txn.arrival_time > episode.end, (
                 f"txn {txn_id} blocked since the outage "
@@ -112,7 +113,7 @@ def test_epoch_inflight_batches_replay_to_standby(epoch_failover):
     # epoch's in-flight batch, not a survivor of the outage.
     (episode,) = system.fault_plan.episodes
     for site in system.sites:
-        for batch in site._awaiting_ack.values():
+        for batch in site.hooks._awaiting_ack.values():
             for txn in batch:
                 assert txn.arrival_time > episode.end, (
                     f"txn {txn.txn_id} parked since the outage "
@@ -131,8 +132,8 @@ def test_epoch_standby_ticks_only_after_takeover(epoch_failover):
     assert standby.data.total_updates > 0
     # The deposed primary's ticker stopped: its epoch buffers are clear.
     assert system.central.deposed
-    assert not system.central._epoch_updates
-    assert not system.central._epoch_commits
+    assert not system.central.hooks._epoch_updates
+    assert not system.central.hooks._epoch_commits
 
 
 @pytest.mark.parametrize("protocol", ["2pc", "epoch"])

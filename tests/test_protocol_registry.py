@@ -2,8 +2,8 @@
 
 Property-tested round trips (name -> protocol -> config -> name), clean
 rejection of unknown names at every entry point (registry, SystemConfig,
-CLI), third-party registration, and the guarantee that two protocols can
-never share an on-disk result-cache entry.
+CLI), third-party registration through the hook seam, and the guarantee
+that two protocols can never share an on-disk result-cache entry.
 """
 
 import dataclasses
@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from repro.experiments.cache import ResultCache
 from repro.experiments.cli import main as experiment_main
 from repro.experiments.runner import RunSettings
-from repro.hybrid import SystemConfig, get_protocol, paper_config, \
-    protocol_names
-from repro.hybrid.protocols import _REGISTRY, CommitProtocol, register
+from repro.core import STRATEGIES
+from repro.hybrid import HybridSystem, SystemConfig, get_protocol, \
+    paper_config, protocol_names
+from repro.hybrid.protocols import _REGISTRY, LocalHooks, register
 from repro.hybrid.protocols.epoch import EpochProtocol
 from repro.hybrid.protocols.optimistic import OptimisticProtocol
 from repro.hybrid.protocols.twophase import TwoPhaseProtocol
@@ -55,15 +56,6 @@ def test_get_protocol_returns_fresh_instances():
     assert isinstance(get_protocol("epoch"), EpochProtocol)
 
 
-def test_protocol_zoo_metadata_is_populated():
-    """The documented comparison axes exist on every implementation."""
-    for name in protocol_names():
-        protocol = get_protocol(name)
-        assert protocol.messages_per_local_commit
-        assert protocol.blocking
-        assert protocol.consistency
-
-
 def test_third_party_registration():
     """The documented extension path: subclass, @register, use by name."""
 
@@ -81,14 +73,44 @@ def test_third_party_registration():
     assert "test-null" not in protocol_names()
 
 
-def test_base_protocol_is_abstract():
-    protocol = CommitProtocol()
-    with pytest.raises(NotImplementedError):
-        protocol.make_local(None, 0, None, None, None)
-    with pytest.raises(NotImplementedError):
-        protocol.make_central(None, None, None, None)
-    with pytest.raises(NotImplementedError):
-        protocol.make_standby(None, None, None, None)
+class CountingHooks(LocalHooks):
+    """Counts the commits it sees and delegates to the default."""
+
+    def commit(self, txn):
+        self.site.system.commit_calls += 1
+        return (yield from super().commit(txn))
+
+
+def test_overridden_hook_runs_and_delegates():
+    """A protocol that overrides one local hook: the stock sites call
+    it, and delegating to the default keeps the optimistic sample path."""
+
+    class CountingProtocol(OptimisticProtocol):
+        name = "test-counting"
+        local_hooks = CountingHooks
+
+    def simulate(protocol):
+        config = paper_config(total_rate=18.0, warmup_time=2.0,
+                              measure_time=10.0, seed=5, protocol=protocol)
+        system = HybridSystem(config, STRATEGIES["queue-length"](config))
+        system.commit_calls = 0
+        result = system.run()
+        return system, result
+
+    register(CountingProtocol)
+    try:
+        system, counted = simulate("test-counting")
+    finally:
+        _REGISTRY.pop("test-counting", None)
+    _, stock = simulate("optimistic")
+    assert all(isinstance(site.hooks, CountingHooks)
+               for site in system.sites)
+    assert system.commit_calls > 0
+    identity = counted.identity_dict()
+    identity.pop("protocol")
+    reference = stock.identity_dict()
+    reference.pop("protocol")
+    assert identity == reference
 
 
 # ---------------------------------------------------------------------------

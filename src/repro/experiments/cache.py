@@ -62,7 +62,10 @@ __all__ = ["ResultCache", "default_cache_dir", "CACHE_VERSION"]
 #: 6: message delivery and retransmit timers no longer run as processes,
 #:    so a run dispatches fewer kernel events; cached results carry the
 #:    old ``engine_events`` counts.
-CACHE_VERSION = 6
+#: 7: under ``2pc`` a master checks for in-doubt holders when it grants
+#:    an authentication, not before its CPU burst; cached 2pc results
+#:    followed the old sample paths.
+CACHE_VERSION = 7
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "HYBRIDDB_CACHE_DIR"
